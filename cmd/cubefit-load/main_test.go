@@ -9,7 +9,10 @@ import (
 	"strings"
 	"testing"
 
+	"cubefit/internal/core"
 	"cubefit/internal/obs"
+	"cubefit/internal/packing"
+	"cubefit/internal/recovery"
 )
 
 func TestRunBothWritesReport(t *testing.T) {
@@ -157,18 +160,36 @@ func TestRunSingleMode(t *testing.T) {
 	}
 }
 
+// TestRunWALMode: the log a -wal run leaves recovers to exactly the
+// tenants the run acked, and a second run refuses to append to it (two
+// controllers' histories in one file no longer replay).
 func TestRunWALMode(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "wal.jsonl")
+	args := []string{"-mode", "batch", "-ops", "200", "-batch", "16", "-wal", walPath}
 	var buf bytes.Buffer
-	if err := run([]string{"-mode", "batch", "-ops", "200", "-batch", "16", "-wal", walPath}, &buf); err != nil {
+	if err := run(args, &buf); err != nil {
 		t.Fatal(err)
 	}
-	info, err := os.Stat(walPath)
+	cf, st, err := recovery.FromFile(walPath, core.Config{Gamma: 2, K: 10})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("the run's log does not recover: %v", err)
 	}
-	if info.Size() == 0 {
-		t.Fatal("durable mode left the WAL empty")
+	if st.Admitted != 200 || st.Rejected != 0 || st.Departed != 0 || st.Dropped != 0 {
+		t.Fatalf("recovery stats %+v, want 200 admitted and nothing else", st)
+	}
+	if n := cf.Placement().NumTenants(); n != 200 {
+		t.Fatalf("recovered %d tenants, want 200", n)
+	}
+	for id := 0; id < 200; id++ {
+		if _, ok := cf.Placement().Tenant(packing.TenantID(id)); !ok {
+			t.Fatalf("acked tenant %d missing after recovery", id)
+		}
+	}
+	if err := run(args, &buf); err == nil {
+		t.Fatal("a second run appended to an existing log")
+	}
+	if _, _, err := recovery.FromFile(walPath, core.Config{Gamma: 2, K: 10}); err != nil {
+		t.Fatalf("refused rerun damaged the log: %v", err)
 	}
 }
 
@@ -190,6 +211,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-url", "http://localhost:1", "-trace=false"},
 		{"-url", "http://localhost:1", "-spans", "x.jsonl"},
 		{"-spans", "x.jsonl", "-trace=false"},
+		{"-wal", "x.jsonl"}, // mode both would log two controllers into one file
 	} {
 		if err := run(args, new(bytes.Buffer)); err == nil {
 			t.Fatalf("args %v accepted", args)

@@ -2,9 +2,8 @@
 //
 // Usage:
 //
-//	cubefit-server [-addr :8080] [-gamma 2] [-k 10] [-redline 0.05] [-wal path] [-wal-segments 1]
-//	               [-trace] [-spans path] [-slo-latency-p99 100ms] [-health-interval 1s]
-//	               [-health-log path] [-pprof] [-drain 10s]
+//	cubefit-server [-addr :8080] [-gamma 2] [-k 10] [-redline 0.05] [-wal path] [-trace] [-spans path]
+//	               [-slo-latency-p99 100ms] [-health-interval 1s] [-health-log path] [-pprof] [-drain 10s]
 //
 // Endpoints:
 //
@@ -70,17 +69,14 @@
 // robustness validator, and refuses to serve from a log that does not
 // replay cleanly. Admissions and departures are group-committed (flushed
 // and fsynced) to the log before they are acked; if the log cannot commit,
-// mutations fail closed with 503. With -wal-segments N (N ≥ 2) the log is
-// sharded over N append-only segment files (<path>.seg0 … segN-1): each
-// coalesced admission batch is sealed into one segment under a monotone
-// commit-sequence record and fsynced on a background goroutine, so
-// independent batches commit in parallel while acks are still released
-// strictly in seal order; recovery merge-replays the segments in
-// commit-sequence order and stops at the first gap, truncating each
-// segment back to its recovered prefix. On SIGINT/SIGTERM the server marks
-// itself draining (GET /readyz flips to 503 so load balancers stop
-// routing new traffic), stops accepting new connections, drains
-// in-flight requests for up to -drain, then drains the admission
+// mutations fail closed with 503. The server refuses to boot while
+// segment files of the retired sharded log format (<path>.seg0,
+// <path>.seg1, …) sit beside the log: they may hold acked tenants this
+// version no longer reads, and serving from <path> alone would silently
+// drop them. On SIGINT/SIGTERM the server marks itself draining
+// (GET /readyz flips to 503 so load balancers stop routing new traffic),
+// stops accepting new connections, drains in-flight requests for up to
+// -drain, then drains the admission
 // pipeline and performs the WAL's final commit before exiting.
 package main
 
@@ -95,6 +91,9 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
@@ -206,6 +205,37 @@ func serve(ctx context.Context, ln net.Listener, srv *http.Server, ctrl *api.Con
 	}
 }
 
+// refuseSegmentFiles fails when files of the retired sharded log format
+// (<path>.seg<i>) exist beside the log at path. Those segments may hold
+// acked admissions that recovery no longer reads; booting from path alone
+// would serve a fleet missing them and append a log that contradicts
+// them, so boot stops and the files are left for the operator.
+func refuseSegmentFiles(path string) error {
+	dir, base := filepath.Split(path)
+	if dir == "" {
+		dir = "."
+	}
+	entries, err := os.ReadDir(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("wal: checking for sharded log segments: %w", err)
+	}
+	var segs []string
+	for _, e := range entries {
+		i, ok := strings.CutPrefix(e.Name(), base+".seg")
+		if _, perr := strconv.ParseUint(i, 10, 64); ok && perr == nil {
+			segs = append(segs, filepath.Join(dir, e.Name()))
+		}
+	}
+	if len(segs) > 0 {
+		return fmt.Errorf("wal: refusing to boot: %s hold a sharded write-ahead log, whose segmented format is no longer read; booting from %s alone would lose the tenants acked in them",
+			strings.Join(segs, ", "), path)
+	}
+	return nil
+}
+
 // newServer parses flags and builds the HTTP server without starting it.
 func newServer(args []string) (*http.Server, options, error) {
 	fs := flag.NewFlagSet("cubefit-server", flag.ContinueOnError)
@@ -217,12 +247,10 @@ func newServer(args []string) (*http.Server, options, error) {
 		drain     = fs.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 		redline   = fs.Float64("redline", headroom.DefaultRedLine,
 			"headroom red-line: slack below this counts a server in cubefit_headroom_below_redline")
-		walPath     = fs.String("wal", "", "write-ahead log path: replay at boot, group-commit admissions before ack")
-		walSegments = fs.Int("wal-segments", 1,
-			"shard the write-ahead log over this many segment files (<path>.seg0..segN-1) with parallel group commits; 1 keeps the single-file log")
-		trace  = fs.Bool("trace", true, "trace admission pipeline stages (/debug/pipeline, cubefit_pipeline_* metrics)")
-		spans  = fs.String("spans", "", "stream finished admission spans to this JSONL file (requires tracing)")
-		sloP99 = fs.Duration("slo-latency-p99", telemetry.DefaultObjective,
+		walPath = fs.String("wal", "", "write-ahead log path: replay at boot, group-commit admissions before ack")
+		trace   = fs.Bool("trace", true, "trace admission pipeline stages (/debug/pipeline, cubefit_pipeline_* metrics)")
+		spans   = fs.String("spans", "", "stream finished admission spans to this JSONL file (requires tracing)")
+		sloP99  = fs.Duration("slo-latency-p99", telemetry.DefaultObjective,
 			"admission latency objective: requests at or under it are \"good\" for the burn-rate rules")
 		healthInterval = fs.Duration("health-interval", telemetry.DefaultInterval,
 			"health sampling period (/healthz, /readyz, /debug/health, /debug/timeline)")
@@ -247,47 +275,10 @@ func newServer(args []string) (*http.Server, options, error) {
 		err      error
 		ctrlOpts []api.Option
 	)
-	if *walSegments < 1 {
-		return nil, options{}, fmt.Errorf("-wal-segments must be at least 1, got %d", *walSegments)
-	}
-	if *walSegments > 1 && *walPath == "" {
-		return nil, options{}, fmt.Errorf("-wal-segments requires -wal")
-	}
-	switch {
-	case *walPath != "" && *walSegments > 1:
-		var rstats recovery.Stats
-		var shard recovery.ShardRecovery
-		cf, rstats, shard, err = recovery.FromSegments(*walPath, *walSegments, opts.cfg)
-		if err != nil {
-			return nil, options{}, fmt.Errorf("wal recovery: %w", err)
+	if *walPath != "" {
+		if err := refuseSegmentFiles(*walPath); err != nil {
+			return nil, options{}, err
 		}
-		slog.Info("sharded wal recovered", "path", *walPath, "segments", *walSegments,
-			"events", rstats.Events, "admitted", rstats.Admitted,
-			"rejected", rstats.Rejected, "departed", rstats.Departed,
-			"dropped", rstats.Dropped, "droppedBatches", shard.DroppedBatches,
-			"torn", rstats.Torn, "nextSeq", shard.NextSeq,
-			"tenants", cf.Placement().NumTenants())
-		// Cut each segment back to its recovered prefix: uncommitted
-		// tails, torn records, and batches stranded past a commit-sequence
-		// gap were never acked, and fresh records must not append after
-		// them.
-		for i := 0; i < *walSegments; i++ {
-			segPath := obs.SegmentPath(*walPath, i)
-			if _, serr := os.Stat(segPath); errors.Is(serr, os.ErrNotExist) {
-				continue
-			}
-			if trimmed, terr := obs.TruncateWAL(segPath, shard.CommittedBytes[i]); terr != nil {
-				return nil, options{}, fmt.Errorf("wal truncate segment %d: %w", i, terr)
-			} else if trimmed > 0 {
-				slog.Info("wal uncommitted suffix truncated", "path", segPath, "bytes", trimmed)
-			}
-		}
-		swal, werr := obs.OpenShardedWAL(*walPath, *walSegments, shard.NextSeq)
-		if werr != nil {
-			return nil, options{}, fmt.Errorf("wal open: %w", werr)
-		}
-		ctrlOpts = append(ctrlOpts, api.WithWAL(swal))
-	case *walPath != "":
 		var rstats recovery.Stats
 		cf, rstats, err = recovery.FromFile(*walPath, opts.cfg)
 		if err != nil {
@@ -314,7 +305,7 @@ func newServer(args []string) (*http.Server, options, error) {
 			return nil, options{}, fmt.Errorf("wal open: %w", werr)
 		}
 		ctrlOpts = append(ctrlOpts, api.WithWAL(wal))
-	default:
+	} else {
 		cf, err = core.New(opts.cfg)
 		if err != nil {
 			return nil, options{}, err

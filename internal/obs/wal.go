@@ -28,6 +28,29 @@ type Syncer interface {
 	Sync() error
 }
 
+// CommitLog is the durability seam of the admission pipeline: a Recorder
+// whose group commit (Sync) makes every previously recorded event durable
+// before the admissions it covers are acked, with sticky fail-closed
+// error reporting. *WAL is the log; the api.Controller depends only on
+// this interface, so wrappers that observe or fault the commit (load
+// harnesses, tests) plug in without touching the pipeline.
+type CommitLog interface {
+	Recorder
+	// Sync makes every recorded event durable (group commit) and returns
+	// the sticky error, if any.
+	Sync() error
+	// Err returns the sticky error, if any; callers on the admission path
+	// must fail closed on a non-nil value.
+	Err() error
+	// Failed reports sticky commit failure without taking the commit
+	// lock, so health sampling survives a hung fsync.
+	Failed() bool
+	// Close performs a final commit and releases the underlying files.
+	Close() error
+}
+
+var _ CommitLog = (*WAL)(nil)
+
 // WAL is a write-ahead sink for the decision event stream: events are
 // JSON-encoded into an in-memory buffer as the engines emit them, and a
 // group commit (Sync) pushes the accumulated batch to the underlying

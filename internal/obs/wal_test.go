@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -362,4 +363,35 @@ func TestWALCloseIdempotentAfterStickyError(t *testing.T) {
 	if fc.closes != 1 {
 		t.Fatalf("underlying writer closed %d times after retry, want 1", fc.closes)
 	}
+}
+
+// FuzzReadWALOffsets feeds arbitrary bytes to the log reader recovery
+// runs at boot. It must never panic; on success every event has an end
+// offset, the offsets strictly increase within the input, and the prefix
+// cut at the last offset — what TruncateWAL keeps — reads back as the
+// same events with no torn tail.
+func FuzzReadWALOffsets(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, ends, _, err := ReadWALOffsets(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(events) != len(ends) {
+			t.Fatalf("%d events but %d end offsets", len(events), len(ends))
+		}
+		var prev int64
+		for i, end := range ends {
+			if end <= prev || end > int64(len(data)) {
+				t.Fatalf("end offset %d = %d after %d, input %d bytes", i, end, prev, len(data))
+			}
+			prev = end
+		}
+		again, againEnds, torn, err := ReadWALOffsets(bytes.NewReader(data[:prev]))
+		if err != nil || torn {
+			t.Fatalf("committed prefix rereads with torn=%v err=%v", torn, err)
+		}
+		if !reflect.DeepEqual(again, events) || !reflect.DeepEqual(againEnds, ends) {
+			t.Fatal("committed prefix rereads as different events")
+		}
+	})
 }
