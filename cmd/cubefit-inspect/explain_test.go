@@ -32,7 +32,7 @@ func tracedArtifacts(t *testing.T) (eventsPath, snapPath string) {
 		t.Fatal(err)
 	}
 	bw := bufio.NewWriter(ef)
-	sink := obs.NewJSONL(bw)
+	sink := obs.NewJSONL[obs.Event](bw)
 	cf.SetRecorder(obs.Stamp(clock.Real(), sink))
 
 	dist, err := workload.NewUniform(1, 15)

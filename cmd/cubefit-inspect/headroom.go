@@ -37,7 +37,7 @@ func runHeadroom(args []string, out io.Writer) error {
 	}
 	//cubefit:vet-allow failclosed -- event log opened read-only; closing it cannot lose data
 	defer f.Close()
-	events, err := obs.ReadJSONL(f)
+	events, err := obs.ReadJSONL[obs.Event](f)
 	if err != nil {
 		return fmt.Errorf("reading %s: %w", *eventsPath, err)
 	}

@@ -39,7 +39,7 @@ func runHealth(args []string, out io.Writer) error {
 	}
 	//cubefit:vet-allow failclosed -- health log opened read-only; closing it cannot lose data
 	defer f.Close()
-	recs, err := obs.ReadHealthJSONL(f)
+	recs, err := obs.ReadJSONL[obs.HealthRecord](f)
 	if err != nil {
 		return fmt.Errorf("reading %s: %w", *logPath, err)
 	}

@@ -23,7 +23,7 @@ func writeHealthLog(t *testing.T) string {
 	reg := metrics.NewRegistry()
 	wal := reg.NewGauge(telemetry.SeriesWALStickyError, "sticky wal error")
 	var buf bytes.Buffer
-	sink := obs.NewHealthJSONL(&buf)
+	sink := obs.NewJSONL[obs.HealthRecord](&buf)
 	cfg := telemetry.Config{
 		Interval:     time.Second,
 		RecoverTicks: 2,

@@ -37,7 +37,7 @@ func runLatency(args []string, out io.Writer) error {
 	}
 	//cubefit:vet-allow failclosed -- span log opened read-only; closing it cannot lose data
 	defer f.Close()
-	spans, err := obs.ReadSpanJSONL(f)
+	spans, err := obs.ReadJSONL[obs.Span](f)
 	if err != nil {
 		return fmt.Errorf("reading %s: %w", *spansPath, err)
 	}

@@ -17,7 +17,7 @@ import (
 func writeSpanLog(t *testing.T) string {
 	t.Helper()
 	var buf bytes.Buffer
-	sink := obs.NewSpanJSONL(&buf)
+	sink := obs.NewJSONL[obs.Span](&buf)
 	mk := func(tenant int, base int64, commit uint64, group int) obs.Span {
 		return obs.Span{
 			Tenant: tenant, Status: 201, Commit: commit, Group: group,
@@ -31,13 +31,13 @@ func writeSpanLog(t *testing.T) string {
 		}
 	}
 	for i := 0; i < 4; i++ {
-		sink.RecordSpan(mk(i, int64(10000*i), 1, 4))
+		sink.Record(mk(i, int64(10000*i), 1, 4))
 	}
 	for i := 4; i < 6; i++ {
-		sink.RecordSpan(mk(i, int64(10000*i), 2, 2))
+		sink.Record(mk(i, int64(10000*i), 2, 2))
 	}
 	// A 409: dequeued and acked without placement or commit.
-	sink.RecordSpan(obs.Span{Tenant: 99, Status: 409, EnqueueNs: 90000, DequeueNs: 91000, AckNs: 91500})
+	sink.Record(obs.Span{Tenant: 99, Status: 409, EnqueueNs: 90000, DequeueNs: 91000, AckNs: 91500})
 	if sink.Err() != nil {
 		t.Fatal(sink.Err())
 	}

@@ -102,7 +102,7 @@ type config struct {
 	health     bool
 	// spanSink is shared across modes so -spans captures one contiguous
 	// log per invocation.
-	spanSink *obs.SpanJSONL
+	spanSink *obs.JSONL[obs.Span]
 }
 
 // result is one mode's measurement.
@@ -198,7 +198,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		sink := obs.NewSpanJSONL(f)
+		sink := obs.NewJSONL[obs.Span](f)
 		cfg.spanSink = sink
 		defer func() {
 			if cerr := f.Close(); cerr != nil && err == nil {
@@ -299,7 +299,7 @@ func newSelfhosted(cfg config) (*selfhosted, error) {
 		opts = append(opts, api.WithoutSpanTracing())
 	}
 	if cfg.spanSink != nil {
-		opts = append(opts, api.WithSpanSink(cfg.spanSink))
+		opts = append(opts, api.WithSpanSink(obs.SpanRecorderFunc(cfg.spanSink.Record)))
 	}
 	if cfg.health {
 		// Sample health for real during the run, so the report's verdict

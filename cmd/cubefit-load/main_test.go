@@ -132,7 +132,7 @@ func TestRunSpanExport(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	spans, err := obs.ReadSpanJSONL(f)
+	spans, err := obs.ReadJSONL[obs.Span](f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,12 +126,12 @@ type options struct {
 	// closed (with its sticky encode error surfaced) after the controller
 	// drains so every finished span reaches the file.
 	spanLog  *os.File
-	spanSink *obs.SpanJSONL
+	spanSink *obs.JSONL[obs.Span]
 	// healthLog/healthSink are set with -health-log: the JSONL health
 	// export (config, per-tick samples, state transitions), closed after
 	// the controller stops its sampling loop.
 	healthLog  *os.File
-	healthSink *obs.HealthJSONL
+	healthSink *obs.JSONL[obs.HealthRecord]
 }
 
 func run(args []string) error {
@@ -320,8 +320,8 @@ func newServer(args []string) (*http.Server, options, error) {
 			return nil, options{}, fmt.Errorf("span log: %w", ferr)
 		}
 		opts.spanLog = f
-		opts.spanSink = obs.NewSpanJSONL(f)
-		ctrlOpts = append(ctrlOpts, api.WithSpanSink(opts.spanSink))
+		opts.spanSink = obs.NewJSONL[obs.Span](f)
+		ctrlOpts = append(ctrlOpts, api.WithSpanSink(obs.SpanRecorderFunc(opts.spanSink.Record)))
 	}
 	// Health monitor: defaults with the deployment's objective, sampling
 	// period, and headroom red line folded in. The queue capacity stays 0
@@ -337,7 +337,7 @@ func newServer(args []string) (*http.Server, options, error) {
 			return nil, options{}, errors.Join(fmt.Errorf("health log: %w", ferr), closeLogs(&opts))
 		}
 		opts.healthLog = f
-		opts.healthSink = obs.NewHealthJSONL(f)
+		opts.healthSink = obs.NewJSONL[obs.HealthRecord](f)
 		ctrlOpts = append(ctrlOpts, api.WithHealthLog(opts.healthSink))
 	}
 	ctrl, err := api.NewController(cf, workload.DefaultLoadModel(), ctrlOpts...)

@@ -165,7 +165,7 @@ func TestHealthFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	recs, err := obs.ReadHealthJSONL(f)
+	recs, err := obs.ReadJSONL[obs.HealthRecord](f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestSpansFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	spans, err := obs.ReadSpanJSONL(f)
+	spans, err := obs.ReadJSONL[obs.Span](f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -279,7 +279,7 @@ func runTraced(out io.Writer, eventsPath, tracePath string, tenants, gamma, k in
 		return err
 	}
 
-	var sink *obs.JSONL
+	var sink *obs.JSONL[obs.Event]
 	if eventsPath != "" {
 		f, err := os.Create(eventsPath)
 		if err != nil {
@@ -297,7 +297,7 @@ func runTraced(out io.Writer, eventsPath, tracePath string, tenants, gamma, k in
 				err = fmt.Errorf("writing %s: %w", eventsPath, cerr)
 			}
 		}()
-		sink = obs.NewJSONL(bw)
+		sink = obs.NewJSONL[obs.Event](bw)
 		cf.SetRecorder(obs.Stamp(clock.Real(), sink))
 	}
 

@@ -39,7 +39,7 @@ func TestTracedRunRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ef.Close()
-	events, err := obs.ReadJSONL(ef)
+	events, err := obs.ReadJSONL[obs.Event](ef)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func Example_decisionRecorder() {
 		fmt.Println(err)
 		return
 	}
-	ring := obs.NewRing(100)
+	ring := obs.NewRing[obs.Event](100)
 	cf.SetRecorder(ring)
 	t := packing.Tenant{ID: 7, Load: 0.3}
 	if err := cf.Place(t); err != nil {
@@ -76,7 +76,7 @@ func Example_decisionRecorder() {
 	}
 	// Duplicate attempt — rejected, tenant stays admitted.
 	_ = cf.Place(t)
-	d, ok := obs.DecisionFor(ring.Events(), 7)
+	d, ok := obs.DecisionFor(ring.Last(-1), 7)
 	_, admitted := cf.Placement().Tenant(7)
 	fmt.Printf("ok=%v path=%q replicas=%d (tenant still admitted: %v)\n",
 		ok, d.Path, len(d.Replicas), admitted)

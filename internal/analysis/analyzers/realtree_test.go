@@ -10,7 +10,7 @@ import (
 // annotation-driven, so deleting an annotation silences them without any
 // finding. These tests pin the annotations themselves — removing
 // //cubefit:hotpath from a core hot loop or //cubefit:guarded-by from a
-// Controller/WAL/JSONL field fails here — and additionally assert that
+// Controller/WAL/JSONL/Ring field fails here — and additionally assert that
 // the annotated real packages analyze clean, so the suppressions in the
 // tree stay honest.
 
@@ -79,11 +79,11 @@ func TestRealTreeHotpathAnnotationsPresent(t *testing.T) {
 		// The pooled event seam every emission crosses.
 		"cubefit/internal/obs.AcquireEvent",
 		"cubefit/internal/obs.ReleaseEvent",
-		// The pooled admission-span seam and its ring recorder.
+		// The pooled admission-span seam and the ring it records into.
 		"cubefit/internal/obs.AcquireSpan",
 		"cubefit/internal/obs.ReleaseSpan",
 		"cubefit/internal/obs.Span.Normalize",
-		"cubefit/internal/obs.SpanRing.RecordSpan",
+		"cubefit/internal/obs.Ring.Record",
 		// The pipeline tracer's per-admission instrumentation points.
 		"cubefit/internal/api.pipelineTracer.now",
 		"cubefit/internal/api.pipelineTracer.enqueued",
@@ -120,6 +120,8 @@ func TestRealTreeGuardedByAnnotationsPresent(t *testing.T) {
 		"cubefit/internal/obs.JSONL.enc":         "mu",
 		"cubefit/internal/obs.JSONL.n":           "mu",
 		"cubefit/internal/obs.JSONL.err":         "mu",
+		"cubefit/internal/obs.Ring.buf":          "mu",
+		"cubefit/internal/obs.Ring.total":        "mu",
 		"cubefit/internal/api.Controller.snap":   "mu",
 		"cubefit/internal/api.Controller.closed": "sendMu",
 	}

@@ -112,7 +112,7 @@ type Controller struct {
 	// ring retains the most recent decision events (nil when the wrapped
 	// algorithm is not recordable). It has its own lock, so the event
 	// endpoints never contend with placement mutations.
-	ring *obs.Ring
+	ring *obs.Ring[obs.Event]
 	// auditor incrementally tracks worst-case failover headroom from the
 	// same event stream (nil when the algorithm is not recordable); it
 	// feeds the cubefit_headroom_* gauges and the /debug/headroom routes.
@@ -176,10 +176,10 @@ func WithWAL(w obs.CommitLog) Option {
 }
 
 // WithSpanSink attaches an external consumer for completed admission
-// spans (typically obs.SpanJSONL for offline analysis with
-// `cubefit-inspect latency`). The sink receives every span after the
-// in-memory window and the stage histograms; it must be safe for
-// concurrent use. It is ignored when tracing is disabled.
+// spans (typically a span JSONL sink wrapped in obs.SpanRecorderFunc, for
+// offline analysis with `cubefit-inspect latency`). The sink receives
+// every span after the in-memory window and the stage histograms; it must
+// be safe for concurrent use. It is ignored when tracing is disabled.
 func WithSpanSink(s obs.SpanRecorder) Option {
 	return func(c *Controller) { c.spanSink = s }
 }
@@ -248,7 +248,7 @@ func NewController(alg packing.Algorithm, model workload.LoadModel, opts ...Opti
 		// incremental headroom auditor (/debug/headroom and the
 		// cubefit_headroom_* gauges), and — when attached — the
 		// write-ahead log.
-		c.ring = obs.NewRing(eventRingCapacity)
+		c.ring = obs.NewRing[obs.Event](eventRingCapacity)
 		c.auditor = headroom.New(alg.Placement(), 0)
 		c.headroomM = newHeadroomMetrics(c.registry)
 		sinks := []obs.Recorder{c.ring, metrics.NewEngineSink(c.registry), c.auditor}
@@ -397,7 +397,7 @@ func (c *Controller) handleExplain(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	if c.ring != nil {
-		if d, ok := obs.DecisionFor(c.ring.Events(), int(id)); ok {
+		if d, ok := obs.DecisionFor(c.ring.Last(-1), int(id)); ok {
 			resp.Traced = true
 			resp.Decision = &d
 		}

@@ -36,9 +36,9 @@ func WithHealthLoop() Option {
 }
 
 // WithHealthLog streams every health tick's sample set and every state
-// transition to rec as JSONL records (obs.NewHealthJSONL), for offline
-// replay with `cubefit-inspect health`. The sink must be safe for
-// concurrent use.
+// transition to rec as JSONL records (obs.NewJSONL[obs.HealthRecord]),
+// for offline replay with `cubefit-inspect health`. The sink must be safe
+// for concurrent use.
 func WithHealthLog(rec obs.HealthRecorder) Option {
 	return func(c *Controller) { c.healthSink = rec }
 }

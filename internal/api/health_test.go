@@ -324,7 +324,7 @@ func TestServerHealthReplayParity(t *testing.T) {
 	fake := clock.NewFake(time.Unix(0, 0))
 	srv, _, ctrl := newEngineServer(t, WithWAL(obs.NewWAL(fw)),
 		WithClock(fake), WithHealthConfig(healthTestConfig()),
-		WithHealthLog(obs.NewHealthJSONL(&buf)))
+		WithHealthLog(obs.NewJSONL[obs.HealthRecord](&buf)))
 
 	tick := func() { fake.Advance(time.Second); ctrl.HealthTick() }
 
@@ -343,7 +343,7 @@ func TestServerHealthReplayParity(t *testing.T) {
 		t.Fatalf("live status = %+v", live)
 	}
 
-	recs, err := obs.ReadHealthJSONL(&buf)
+	recs, err := obs.ReadJSONL[obs.HealthRecord](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

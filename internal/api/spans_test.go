@@ -171,6 +171,26 @@ func TestDebugPipelineEndpoint(t *testing.T) {
 	if small.Spans.Window != 5 || len(small.Commits.Recent) != 1 {
 		t.Fatalf("bounded view: window %d commits %d", small.Spans.Window, len(small.Commits.Recent))
 	}
+	// Past the commit window, ?commits= returns the newest
+	// pipelineCommitWindow commits, oldest first.
+	for i := 25; i < 25+pipelineCommitWindow; i++ {
+		if code := doJSON(t, "POST", srv.URL+"/v1/tenants",
+			map[string]any{"id": i, "load": 0.01}, nil); code != 201 {
+			t.Fatalf("place %d failed", i)
+		}
+	}
+	var all pipelineResponse
+	if err := json.Unmarshal(getBody(t, srv.URL+"/debug/pipeline?commits=1000"), &all); err != nil {
+		t.Fatal(err)
+	}
+	if all.Commits.Total <= pipelineCommitWindow || len(all.Commits.Recent) != pipelineCommitWindow {
+		t.Fatalf("commit window: total %d, %d recent, want %d", all.Commits.Total, len(all.Commits.Recent), pipelineCommitWindow)
+	}
+	for i, c := range all.Commits.Recent {
+		if want := all.Commits.Total - pipelineCommitWindow + 1 + uint64(i); c.ID != want {
+			t.Fatalf("recent[%d].ID = %d, want %d (oldest first, newest = total)", i, c.ID, want)
+		}
+	}
 }
 
 func TestDebugPipelineDisabled(t *testing.T) {
@@ -241,9 +261,9 @@ func metricValue(t *testing.T, body, series string) float64 {
 // totals the server's /metrics histograms report.
 func TestSpanJSONLMatchesMetrics(t *testing.T) {
 	var logbuf bytes.Buffer
-	sink := obs.NewSpanJSONL(&logbuf)
+	sink := obs.NewJSONL[obs.Span](&logbuf)
 	var wal bytes.Buffer
-	srv, _, _ := newEngineServer(t, WithWAL(obs.NewWAL(&wal)), WithSpanSink(sink))
+	srv, _, _ := newEngineServer(t, WithWAL(obs.NewWAL(&wal)), WithSpanSink(obs.SpanRecorderFunc(sink.Record)))
 
 	for i := 0; i < 40; i++ {
 		if code := doJSON(t, "POST", srv.URL+"/v1/tenants",
@@ -262,7 +282,7 @@ func TestSpanJSONLMatchesMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	spans, err := obs.ReadSpanJSONL(&logbuf)
+	spans, err := obs.ReadJSONL[obs.Span](&logbuf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,14 @@ import (
 
 // benchEngine builds an engine pre-loaded with enough tenants that the
 // first stage has a realistic population of active mature bins.
-func benchEngine(b *testing.B, cfg Config, tenants int) *CubeFit {
+func benchEngine(b *testing.B, cfg Config, tune func(*CubeFit), tenants int) *CubeFit {
 	b.Helper()
 	cf, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if tune != nil {
+		tune(cf)
 	}
 	r := rng.New(7)
 	for i := 0; i < tenants; i++ {
@@ -46,7 +49,7 @@ func BenchmarkBestMFitProbe(b *testing.B) {
 		for _, tenants := range impl.tenants {
 			name := fmt.Sprintf("%s/tenants%d", impl.name, tenants)
 			b.Run(name, func(b *testing.B) {
-				cf := benchEngine(b, Config{Gamma: 2, K: 10, ReferenceFirstStage: impl.reference}, tenants)
+				cf := benchEngine(b, Config{Gamma: 2, K: 10}, func(cf *CubeFit) { cf.referenceScan = impl.reference }, tenants)
 				probe := packing.Tenant{ID: packing.TenantID(1 << 20), Load: 0.02}
 				if err := cf.p.AddTenant(probe); err != nil {
 					b.Fatal(err)
@@ -69,7 +72,7 @@ func BenchmarkBestMFitProbe(b *testing.B) {
 // worst case for the reference shared-map scan, the indifferent case for
 // the digest — and an m-fit probe against it.
 func benchMFitsEngine(b *testing.B, referenceReserve bool) (*CubeFit, *packing.Server, []int, packing.Replica) {
-	cf := benchEngine(b, Config{Gamma: 3, K: 10, ReferenceReserve: referenceReserve}, 1000)
+	cf := benchEngine(b, Config{Gamma: 3, K: 10}, func(cf *CubeFit) { cf.cachedReserve = !referenceReserve }, 1000)
 	var srv *packing.Server
 	for _, bn := range cf.active {
 		s := cf.p.Server(bn.server)
@@ -112,9 +115,9 @@ func BenchmarkMFitsCached(b *testing.B) {
 	}
 }
 
-// BenchmarkMFitsReference pins the reference m-fit test behind
-// Config.ReferenceReserve: every call rescans the shared maps of the
-// candidate and each earlier host via topSharedAdjusted.
+// BenchmarkMFitsReference pins the reference m-fit test (cachedReserve
+// off): every call rescans the shared maps of the candidate and each
+// earlier host via topSharedAdjusted.
 func BenchmarkMFitsReference(b *testing.B) {
 	cf, srv, earlier, rep := benchMFitsEngine(b, true)
 	b.ReportAllocs()
@@ -127,7 +130,7 @@ func BenchmarkMFitsReference(b *testing.B) {
 // BenchmarkTopSharedAdjusted pins the m-fit inner loop: the hypothetical
 // top-k shared-load sum of a populated server.
 func BenchmarkTopSharedAdjusted(b *testing.B) {
-	cf := benchEngine(b, Config{Gamma: 3, K: 10}, 500)
+	cf := benchEngine(b, Config{Gamma: 3, K: 10}, nil, 500)
 	// Pick the active mature bin with the most sharing neighbors.
 	var srv *packing.Server
 	for _, bn := range cf.active {
@@ -151,7 +154,7 @@ func BenchmarkTopSharedAdjusted(b *testing.B) {
 // default (recorder-detached) hot path; allocs/op here is the number the
 // scratch buffers and ref pool exist to hold down.
 func BenchmarkPlaceNoRecorder(b *testing.B) {
-	cf := benchEngine(b, Config{Gamma: 2, K: 10}, 500)
+	cf := benchEngine(b, Config{Gamma: 2, K: 10}, nil, 500)
 	r := rng.New(11)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -66,20 +66,6 @@ type Config struct {
 	// future replica sizes (e.g. (δ+β)/γ under the client load model) can
 	// set it to keep first-stage scans fast without changing placements.
 	PruneSlack float64
-	// ReferenceFirstStage makes the first stage use the reference linear
-	// scan over all active mature bins instead of the level-bucketed index
-	// (see internal/core/index.go). The two are placement-identical — the
-	// parity property test asserts byte-identical traces — so the knob
-	// exists only for differential testing and index microbenchmarks.
-	ReferenceFirstStage bool
-	// ReferenceReserve makes the m-fit test and the per-bin reserve cache
-	// recompute top-(γ−1) shared sums from the shared maps
-	// (topSharedAdjusted / packing.TopShared) instead of reading the
-	// incremental per-bin reserve digests (see internal/core/reserve.go).
-	// The two are placement-identical — the parity property test asserts
-	// byte-identical traces — so the knob exists only for differential
-	// testing and reserve microbenchmarks.
-	ReferenceReserve bool
 }
 
 // DefaultConfig returns the configuration used in the paper's simulation
@@ -99,6 +85,12 @@ func (c Config) withDefaults() Config {
 func (c Config) Validate() error {
 	if c.Gamma < 1 {
 		return fmt.Errorf("core: gamma %d < 1", c.Gamma)
+	}
+	// The failover reserve is a top-(γ−1) shared-load sum over at most
+	// digestSize tracked peers per bin; beyond that it would be
+	// under-counted and Theorem 1 could break.
+	if c.Gamma-1 > digestSize {
+		return fmt.Errorf("core: gamma %d > %d: the failover reserve is exact only for γ−1 ≤ %d", c.Gamma, digestSize+1, digestSize)
 	}
 	if c.K < 2 {
 		return fmt.Errorf("core: K %d < 2", c.K)

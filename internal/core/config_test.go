@@ -2,7 +2,11 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
+
+	"cubefit/internal/packing"
+	"cubefit/internal/rng"
 )
 
 func TestAlphaK(t *testing.T) {
@@ -134,6 +138,40 @@ func TestConfigValidate(t *testing.T) {
 				t.Fatalf("Validate(%+v) = %v, want ok=%v", tt.give, err, tt.wantOK)
 			}
 		})
+	}
+}
+
+// TestConfigValidateGammaLimit pins the γ range the failover reserve is
+// computed exactly for. Beyond γ−1 = digestSize the top-(γ−1) reserve was
+// clamped to 8 peers and under-counted, so {γ=10, K=3} broke Theorem 1
+// within a few dozen tenants; such configs must be rejected up front.
+func TestConfigValidateGammaLimit(t *testing.T) {
+	for _, cfg := range []Config{{Gamma: 10, K: 3}, {Gamma: 10, K: 2}, {Gamma: 11, K: 2}} {
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), "> 9") {
+			t.Errorf("Validate(γ=%d, K=%d) = %v, want an error naming the limit 9", cfg.Gamma, cfg.K, err)
+		}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New(γ=%d, K=%d) accepted the config", cfg.Gamma, cfg.K)
+		}
+	}
+	for gamma := 2; gamma <= 9; gamma++ {
+		if err := (Config{Gamma: gamma, K: 2}).Validate(); err != nil {
+			t.Errorf("Validate(γ=%d, K=2) = %v, want ok", gamma, err)
+		}
+	}
+	cf, err := New(Config{Gamma: 9, K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(1)
+	for i := 1; i <= 300; i++ {
+		if err := cf.Place(packing.Tenant{ID: packing.TenantID(i), Load: 0.05 + 0.5*r.Float64()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cf.Placement().ValidateRobustness(); err != nil {
+		t.Fatalf("γ=9, K=3 after 300 tenants: %v", err)
 	}
 }
 

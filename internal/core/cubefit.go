@@ -32,9 +32,13 @@ type CubeFit struct {
 	refPool [][]slotRef
 
 	// cachedReserve enables the incremental reserve-digest fast path for
-	// m-fit tests and refreshBin (set in New from the config; see
-	// reserve.go).
+	// m-fit tests and refreshBin (see reserve.go). New sets it; the parity
+	// tests clear it to run the reference shared-map recomputation.
 	cachedReserve bool
+	// referenceScan makes the first stage use the reference linear scan
+	// over all active mature bins instead of the level index (index.go).
+	// New leaves it off; the parity tests set it.
+	referenceScan bool
 
 	// Scratch buffers for the admission hot path. CubeFit is documented as
 	// not concurrency-safe, so a single instance of each suffices; they are
@@ -222,11 +226,11 @@ func New(cfg Config) (*CubeFit, error) {
 		cubes: make(map[cubeKey]*cube),
 		refs:  make(map[packing.TenantID][]slotRef),
 		// The cached reserve path answers top-(γ−1) queries from the
-		// per-bin digests; it needs γ−1 ≤ digestSize to be exact and is
-		// a no-op under the reference knob. The digests themselves are
-		// maintained unconditionally (the hook below) so the property
-		// tests can compare them against packing.TopShared in any mode.
-		cachedReserve: !cfg.ReferenceReserve && cfg.Gamma-1 <= digestSize,
+		// per-bin digests, exact because Validate caps γ−1 at digestSize.
+		// The digests themselves are maintained unconditionally (the hook
+		// below) so the property tests can compare them against
+		// packing.TopShared in either mode.
+		cachedReserve: true,
 	}
 	p.SetSharedHook(cf.sharedChanged)
 	return cf, nil

@@ -28,8 +28,9 @@ import "cubefit/internal/packing"
 
 // digestSize is the digest capacity. The cached reserve path needs
 // γ−1 ≤ digestSize to answer top-(γ−1) queries exactly, and the adjusted
-// query additionally bumps up to γ−1 peers; 8 covers every configuration
-// up to γ=9, far beyond the paper's γ ∈ {2, 3}.
+// query additionally bumps up to γ−1 peers; Config.Validate rejects
+// larger γ, so 8 covers every valid configuration (γ ≤ 9), far beyond the
+// paper's γ ∈ {2, 3}.
 const digestSize = 8
 
 // topKDigest tracks the largest shared loads of one server, descending.

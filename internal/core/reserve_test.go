@@ -14,7 +14,7 @@ import (
 // departures, the digest-backed m-fit path and the reference shared-map
 // recomputation must produce byte-identical placements and identical
 // Stats at γ ∈ {2, 3, 4} — the same contract the first-stage index parity
-// test enforces for its knob.
+// test enforces for the reference scan.
 func TestReferenceReserveParity(t *testing.T) {
 	for _, gamma := range []int{2, 3, 4} {
 		gamma := gamma
@@ -28,10 +28,11 @@ func TestReferenceReserveParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				reference, err := New(Config{Gamma: gamma, K: k, ReferenceReserve: true})
+				reference, err := New(Config{Gamma: gamma, K: k})
 				if err != nil {
 					t.Fatal(err)
 				}
+				reference.cachedReserve = false
 				tenants := 300
 				got := parityWorkload(t, cached, seed, tenants)
 				want := parityWorkload(t, reference, seed, tenants)

@@ -109,10 +109,10 @@ func (cf *CubeFit) refreshAfterPlacement(id packing.TenantID) {
 // their shared load with B.
 //
 // The default implementation walks the level index top-down; the reference
-// linear scan remains available behind Config.ReferenceFirstStage. Both
+// linear scan is the parity tests' oracle (CubeFit.referenceScan). Both
 // select the same bin: maximize level, break ties on the lower server ID.
 func (cf *CubeFit) bestMFit(t packing.Tenant, rep packing.Replica) (best *bin, probed int) {
-	if cf.cfg.ReferenceFirstStage {
+	if cf.referenceScan {
 		return cf.bestMFitScan(t, rep)
 	}
 	return cf.bestMFitIndexed(t, rep)
@@ -259,8 +259,8 @@ func (cf *CubeFit) placedHosts(id packing.TenantID) []int {
 // tenant's earlier replicas on `earlier`. The adjusted top-k sums come
 // from the incremental per-bin reserve digests by default, making the
 // test O(γ) instead of a scan over the server's shared map; the
-// reference recomputation stays available behind Config.ReferenceReserve
-// and produces bit-identical sums.
+// reference recomputation (CubeFit.cachedReserve off) is the parity
+// tests' oracle and produces bit-identical sums.
 //
 //cubefit:hotpath
 func (cf *CubeFit) mFits(srv *packing.Server, earlier []int, rep packing.Replica) bool {
@@ -308,7 +308,7 @@ func topSharedAdjusted(s *packing.Server, k int, bump []int, delta float64) floa
 	if k <= 0 {
 		return 0
 	}
-	var top [8]float64 // k is γ−1, far below 8 for any valid config
+	var top [digestSize]float64 // k is γ−1 ≤ digestSize for any valid config
 	if k > len(top) {
 		k = len(top)
 	}

@@ -1,11 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"sync"
-)
+import "encoding/json"
 
 // Health log records: the offline twin of the telemetry subsystem. The
 // sampler writes one "config" record up front (the rule-engine
@@ -44,70 +39,8 @@ type HealthRecord struct {
 	Config json.RawMessage `json:"config,omitempty"`
 }
 
-// HealthRecorder receives health log records.
+// HealthRecorder receives health log records. A *JSONL[HealthRecord]
+// is one.
 type HealthRecorder interface {
-	RecordHealth(HealthRecord)
-}
-
-// HealthJSONL is a HealthRecorder writing one JSON object per record
-// (JSON Lines). Like the span and event sinks, the first write error is
-// sticky: subsequent records are dropped and the error is reported by
-// Err, so a full disk never corrupts the log mid-line.
-type HealthJSONL struct {
-	mu sync.Mutex
-	//cubefit:guarded-by mu
-	enc *json.Encoder
-	//cubefit:guarded-by mu
-	n uint64
-	//cubefit:guarded-by mu
-	err error
-}
-
-// NewHealthJSONL returns a sink encoding health records onto w.
-func NewHealthJSONL(w io.Writer) *HealthJSONL {
-	return &HealthJSONL{enc: json.NewEncoder(w)}
-}
-
-// RecordHealth implements HealthRecorder.
-func (s *HealthJSONL) RecordHealth(rec HealthRecord) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return
-	}
-	if err := s.enc.Encode(rec); err != nil {
-		s.err = fmt.Errorf("obs: health jsonl write: %w", err)
-		return
-	}
-	s.n++
-}
-
-// Count returns the number of records successfully written.
-func (s *HealthJSONL) Count() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-// Err returns the first write error, if any.
-func (s *HealthJSONL) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-// ReadHealthJSONL decodes a health log back into records.
-func ReadHealthJSONL(r io.Reader) ([]HealthRecord, error) {
-	dec := json.NewDecoder(r)
-	var recs []HealthRecord
-	for {
-		var rec HealthRecord
-		if err := dec.Decode(&rec); err != nil {
-			if err == io.EOF {
-				return recs, nil
-			}
-			return nil, fmt.Errorf("obs: health jsonl read (record %d): %w", len(recs)+1, err)
-		}
-		recs = append(recs, rec)
-	}
+	Record(HealthRecord)
 }

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -29,35 +31,95 @@ func TestNewEventSentinels(t *testing.T) {
 	}
 }
 
+// recordType builds and identifies the records of one ring/sink element
+// type, so the Ring and JSONL tests run unchanged over every type the
+// tree stores: mk returns a distinct record for id, and id reads it back.
+type recordType[T any] struct {
+	mk func(id int) T
+	id func(T) int
+}
+
+var (
+	eventRecords = recordType[Event]{
+		mk: func(id int) Event { e := NewEvent(KindProbe); e.Tenant = id; return e },
+		id: func(e Event) int { return e.Tenant },
+	}
+	spanRecords = recordType[Span]{
+		mk: func(id int) Span { return Span{Tenant: id} },
+		id: func(s Span) int { return s.Tenant },
+	}
+	healthRecords = recordType[HealthRecord]{
+		mk: func(id int) HealthRecord { return HealthRecord{Kind: HealthKindSample, TNs: int64(id)} },
+		id: func(h HealthRecord) int { return int(h.TNs) },
+	}
+)
+
+// ringCase records ids 1..records into a ring of the given capacity;
+// Last(n) must then return the records want, oldest first.
+type ringCase struct {
+	name                 string
+	capacity, records, n int
+	want                 []int
+}
+
 func TestRingWraparound(t *testing.T) {
-	r := NewRing(4)
-	for i := 0; i < 10; i++ {
-		e := NewEvent(KindProbe)
-		e.Tenant = i
-		r.Record(e)
+	cases := []ringCase{
+		{"all", 4, 10, -1, []int{7, 8, 9, 10}},
+		{"last 2", 4, 10, 2, []int{9, 10}},
+		{"n beyond capacity", 4, 10, 100, []int{7, 8, 9, 10}},
+		{"n zero", 4, 10, 0, []int{}},
+		{"capacity 3", 3, 5, -1, []int{3, 4, 5}},
+		{"capacity 3 last 2", 3, 5, 2, []int{4, 5}},
+		{"exactly full", 3, 3, -1, []int{1, 2, 3}},
+		{"capacity clamped to 1", 0, 3, -1, []int{3}},
 	}
-	if r.Total() != 10 {
-		t.Errorf("Total = %d, want 10", r.Total())
+	t.Run("Event", func(t *testing.T) { checkRing(t, eventRecords, cases) })
+	t.Run("Span", func(t *testing.T) { checkRing(t, spanRecords, cases) })
+	t.Run("HealthRecord", func(t *testing.T) { checkRing(t, healthRecords, cases) })
+}
+
+func TestRingBeforeWrap(t *testing.T) {
+	cases := []ringCase{
+		{"all", 8, 3, -1, []int{1, 2, 3}},
+		{"last 2", 8, 3, 2, []int{2, 3}},
+		{"n beyond stored", 8, 3, 5, []int{1, 2, 3}},
+		{"n zero", 8, 3, 0, []int{}},
+		{"empty", 8, 0, -1, []int{}},
 	}
-	got := r.Events()
-	if len(got) != 4 {
-		t.Fatalf("len(Events) = %d, want 4", len(got))
-	}
-	// Oldest first: tenants 6, 7, 8, 9.
-	for i, e := range got {
-		if e.Tenant != 6+i {
-			t.Errorf("Events()[%d].Tenant = %d, want %d", i, e.Tenant, 6+i)
+	t.Run("Event", func(t *testing.T) { checkRing(t, eventRecords, cases) })
+	t.Run("Span", func(t *testing.T) { checkRing(t, spanRecords, cases) })
+	t.Run("HealthRecord", func(t *testing.T) { checkRing(t, healthRecords, cases) })
+}
+
+func checkRing[T any](t *testing.T, rt recordType[T], cases []ringCase) {
+	for _, tc := range cases {
+		r := NewRing[T](tc.capacity)
+		for id := 1; id <= tc.records; id++ {
+			r.Record(rt.mk(id))
 		}
-	}
-	last := r.Last(2)
-	if len(last) != 2 || last[0].Tenant != 8 || last[1].Tenant != 9 {
-		t.Errorf("Last(2) = %+v", last)
-	}
-	if got := r.Last(100); len(got) != 4 {
-		t.Errorf("Last(100) len = %d, want 4", len(got))
-	}
-	if got := r.Last(0); len(got) != 0 {
-		t.Errorf("Last(0) len = %d, want 0", len(got))
+		if got := r.Total(); got != uint64(tc.records) {
+			t.Errorf("%s: Total = %d, want %d", tc.name, got, tc.records)
+		}
+		got := r.Last(tc.n)
+		// Never nil, so an empty window still encodes as a JSON array.
+		if got == nil {
+			t.Errorf("%s: Last(%d) = nil, want an empty slice", tc.name, tc.n)
+		}
+		want := make([]T, len(tc.want))
+		for i, id := range tc.want {
+			want[i] = rt.mk(id)
+		}
+		if !reflect.DeepEqual(got, want) {
+			ids := make([]int, len(got))
+			for i, v := range got {
+				ids[i] = rt.id(v)
+			}
+			t.Errorf("%s: Last(%d) = ids %v, want %v", tc.name, tc.n, ids, tc.want)
+		}
+		total, snap := r.Snapshot(tc.n)
+		if total != uint64(tc.records) || !reflect.DeepEqual(snap, got) {
+			t.Errorf("%s: Snapshot(%d) = %d, %v; want %d, %v", tc.name, tc.n, total, snap, tc.records, got)
+		}
 	}
 }
 
@@ -65,7 +127,7 @@ func TestRingWraparound(t *testing.T) {
 // returned total must always match the newest returned event, which two
 // separate Total/Last lock acquisitions cannot guarantee.
 func TestRingSnapshotConsistent(t *testing.T) {
-	r := NewRing(16)
+	r := NewRing[Event](16)
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -98,19 +160,6 @@ func TestRingSnapshotConsistent(t *testing.T) {
 	}
 	close(stop)
 	<-done
-}
-
-func TestRingBeforeWrap(t *testing.T) {
-	r := NewRing(8)
-	for i := 0; i < 3; i++ {
-		e := NewEvent(KindProbe)
-		e.Tenant = i
-		r.Record(e)
-	}
-	got := r.Events()
-	if len(got) != 3 || got[0].Tenant != 0 || got[2].Tenant != 2 {
-		t.Errorf("Events() = %+v", got)
-	}
 }
 
 func TestStampAssignsSeqAndTime(t *testing.T) {
@@ -151,7 +200,7 @@ func TestTee(t *testing.T) {
 
 func TestJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	sink := NewJSONL(&buf)
+	sink := NewJSONL[Event](&buf)
 	fake := clock.NewFake(time.Unix(42, 0))
 	rec := Stamp(fake, sink)
 
@@ -178,7 +227,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Errorf("wrote %d lines, want 2", lines)
 	}
 
-	back, err := ReadJSONL(&buf)
+	back, err := ReadJSONL[Event](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,20 +248,41 @@ func TestJSONLRoundTrip(t *testing.T) {
 }
 
 func TestJSONLStickyError(t *testing.T) {
-	sink := NewJSONL(failWriter{})
-	sink.Record(NewEvent(KindAttempt))
-	if sink.Err() == nil {
-		t.Fatal("expected a write error")
+	t.Run("Event", func(t *testing.T) { checkStickyError(t, eventRecords) })
+	t.Run("Span", func(t *testing.T) { checkStickyError(t, spanRecords) })
+	t.Run("HealthRecord", func(t *testing.T) { checkStickyError(t, healthRecords) })
+}
+
+// checkStickyError pins the sink's failure contract: the first write
+// error is kept, later records are dropped without touching the writer,
+// and failed writes are not counted.
+func checkStickyError[T any](t *testing.T, rt recordType[T]) {
+	w := &failWriter{}
+	sink := NewJSONL[T](w)
+	sink.Record(rt.mk(1))
+	err := sink.Err()
+	if !errors.Is(err, errWrite) {
+		t.Fatalf("Err = %v, want the writer's error", err)
 	}
-	sink.Record(NewEvent(KindAdmit))
+	sink.Record(rt.mk(2))
+	if sink.Err() != err {
+		t.Errorf("Err = %v after a second record, want the first error %v", sink.Err(), err)
+	}
+	if w.writes != 1 {
+		t.Errorf("writer called %d times, want 1 (records after an error are dropped)", w.writes)
+	}
 	if sink.Count() != 0 {
 		t.Errorf("Count = %d after error, want 0 (failed writes are not counted)", sink.Count())
 	}
 }
 
-type failWriter struct{}
+// failWriter fails every write, counting the attempts.
+type failWriter struct{ writes int }
 
-func (failWriter) Write([]byte) (int, error) { return 0, errWrite }
+func (w *failWriter) Write([]byte) (int, error) {
+	w.writes++
+	return 0, errWrite
+}
 
 var errWrite = &writeError{}
 
@@ -221,7 +291,54 @@ type writeError struct{}
 func (*writeError) Error() string { return "synthetic write failure" }
 
 func TestReadJSONLRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("{\"kind\":\"admit\"}\nnot json\n")); err == nil {
+	if _, err := ReadJSONL[Event](strings.NewReader("{\"kind\":\"admit\"}\nnot json\n")); err == nil {
 		t.Error("expected an error on malformed JSONL")
 	}
+}
+
+// FuzzReadJSONL feeds arbitrary bytes to the JSONL reader as event, span
+// and health logs. The reader must never panic, and any input it accepts
+// must survive a trip through the sink: the decoded records, written back
+// and read again, are the same records. They are compared by encoding,
+// because omitempty writes an empty slice or map the same as a nil one.
+func FuzzReadJSONL(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkJSONLRoundTrip[Event](t, data)
+		checkJSONLRoundTrip[Span](t, data)
+		checkJSONLRoundTrip[HealthRecord](t, data)
+	})
+}
+
+func checkJSONLRoundTrip[T any](t *testing.T, data []byte) {
+	recs, err := ReadJSONL[T](bytes.NewReader(data))
+	if err != nil {
+		return
+	}
+	first := writeJSONL(t, recs)
+	again, err := ReadJSONL[T](bytes.NewReader(first))
+	if err != nil {
+		t.Fatalf("%T: rereading the sink's output: %v", recs, err)
+	}
+	if len(again) != len(recs) {
+		t.Fatalf("%T: reread %d records, wrote %d", recs, len(again), len(recs))
+	}
+	if second := writeJSONL(t, again); !bytes.Equal(second, first) {
+		t.Fatalf("%T: records changed across a round trip:\n%s\nvs\n%s", recs, first, second)
+	}
+}
+
+// writeJSONL encodes recs through the sink, failing on any write error.
+func writeJSONL[T any](t *testing.T, recs []T) []byte {
+	var buf bytes.Buffer
+	sink := NewJSONL[T](&buf)
+	for _, r := range recs {
+		sink.Record(r)
+	}
+	if err := sink.Err(); err != nil {
+		t.Fatalf("%T: writing accepted records: %v", recs, err)
+	}
+	if sink.Count() != uint64(len(recs)) {
+		t.Fatalf("%T: Count = %d, want %d", recs, sink.Count(), len(recs))
+	}
+	return buf.Bytes()
 }

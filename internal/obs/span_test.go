@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 )
 
@@ -85,11 +84,11 @@ func TestSpanPoolRoundTrip(t *testing.T) {
 }
 
 func TestSpanLifecycleZeroAllocs(t *testing.T) {
-	ring := NewSpanRing(8)
+	ring := NewRing[Span](8)
 	// Warm the pool and the ring.
 	for i := 0; i < 16; i++ {
 		sp := AcquireSpan()
-		ring.RecordSpan(*sp)
+		ring.Record(*sp)
 		ReleaseSpan(sp)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -101,7 +100,7 @@ func TestSpanLifecycleZeroAllocs(t *testing.T) {
 		sp.PlaceEndNs = 30
 		sp.AckNs = 40
 		sp.Normalize()
-		ring.RecordSpan(*sp)
+		ring.Record(*sp)
 		ReleaseSpan(sp)
 	})
 	if allocs != 0 {
@@ -109,35 +108,17 @@ func TestSpanLifecycleZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestSpanRingWrapAround(t *testing.T) {
-	r := NewSpanRing(3)
-	for i := 1; i <= 5; i++ {
-		r.RecordSpan(Span{Tenant: i})
-	}
-	if r.Total() != 5 {
-		t.Fatalf("Total = %d, want 5", r.Total())
-	}
-	got := r.Last(-1)
-	want := []Span{{Tenant: 3}, {Tenant: 4}, {Tenant: 5}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Last(-1) = %+v, want %+v", got, want)
-	}
-	if got := r.Last(2); len(got) != 2 || got[0].Tenant != 4 || got[1].Tenant != 5 {
-		t.Fatalf("Last(2) = %+v", got)
-	}
-}
-
 func TestSpanJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	sink := NewSpanJSONL(&buf)
+	sink := NewJSONL[Span](&buf)
 	in := []Span{fullSpan(), {Tenant: 9, Status: 409, EnqueueNs: 5, DequeueNs: 8, AckNs: 12}}
 	for _, s := range in {
-		sink.RecordSpan(s)
+		sink.Record(s)
 	}
 	if sink.Count() != 2 || sink.Err() != nil {
 		t.Fatalf("Count=%d Err=%v", sink.Count(), sink.Err())
 	}
-	out, err := ReadSpanJSONL(&buf)
+	out, err := ReadJSONL[Span](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,17 +135,5 @@ func TestSpanJSONLRoundTrip(t *testing.T) {
 	sum := out[1].QueueNs() + out[1].PlaceNs() + out[1].WalNs() + out[1].FsyncNs() + out[1].AckLatencyNs()
 	if sum != out[1].TotalNs() {
 		t.Fatalf("normalized span does not telescope: %+v", out[1])
-	}
-}
-
-func TestSpanJSONLStickyError(t *testing.T) {
-	sink := NewSpanJSONL(failWriter{})
-	sink.RecordSpan(Span{Tenant: 1})
-	if sink.Err() == nil {
-		t.Fatal("expected sticky error")
-	}
-	sink.RecordSpan(Span{Tenant: 2})
-	if sink.Count() != 0 {
-		t.Fatalf("Count = %d after failed writes, want 0", sink.Count())
 	}
 }

@@ -157,9 +157,9 @@ func (m *Monitor) Tick() {
 	if m.sink == nil {
 		return
 	}
-	m.sink.RecordHealth(obs.HealthRecord{Kind: obs.HealthKindSample, TNs: tNs, Values: values})
+	m.sink.Record(obs.HealthRecord{Kind: obs.HealthKindSample, TNs: tNs, Values: values})
 	if tr != nil {
-		m.sink.RecordHealth(obs.HealthRecord{
+		m.sink.Record(obs.HealthRecord{
 			Kind: obs.HealthKindTransition, TNs: tr.TNs,
 			From: tr.From.String(), To: tr.To.String(),
 			Rules: tr.Rules, Evidence: tr.Evidence,
@@ -180,7 +180,7 @@ func (m *Monitor) writeConfigLocked() {
 		// practice, and a missing config record is detected by Replay.
 		return
 	}
-	m.sink.RecordHealth(obs.HealthRecord{Kind: obs.HealthKindConfig, Config: raw})
+	m.sink.Record(obs.HealthRecord{Kind: obs.HealthKindConfig, Config: raw})
 }
 
 // scrapeLocked turns one registry snapshot into the tick's series

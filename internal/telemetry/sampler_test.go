@@ -104,7 +104,7 @@ func TestMonitorReplayParity(t *testing.T) {
 	slack.Set(0.5)
 
 	var buf bytes.Buffer
-	sink := obs.NewHealthJSONL(&buf)
+	sink := obs.NewJSONL[obs.HealthRecord](&buf)
 	cfg := testConfig()
 	cfg.WAL.Series = SeriesWALStickyError
 	cfg.Headroom.Series = SeriesHeadroomMinSlack
@@ -133,7 +133,7 @@ func TestMonitorReplayParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, err := obs.ReadHealthJSONL(&buf)
+	recs, err := obs.ReadJSONL[obs.HealthRecord](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestMonitorConcurrentWithWriters(t *testing.T) {
 	cfg.Interval = time.Millisecond
 	cfg.Burn.Targets = []string{`lat_seconds{route="place"}`}
 	var buf bytes.Buffer
-	m := New(reg, cfg, clock.Real(), WithSink(obs.NewHealthJSONL(&buf)), WithHook(proc.Update))
+	m := New(reg, cfg, clock.Real(), WithSink(obs.NewJSONL[obs.HealthRecord](&buf)), WithHook(proc.Update))
 	m.Start()
 	defer m.Stop()
 
