@@ -6,23 +6,24 @@
 //
 // Concurrency: the controller guards the algorithm with a sync.RWMutex.
 // Read-only endpoints (stats, servers, placement, validate, tenant lookup)
-// take the read lock and run concurrently; admissions flow through a
-// batched pipeline (see pipeline.go): every request — POST /v1/tenants and
-// POST /v1/tenants:batch alike — enqueues a job resolved by one placer
-// goroutine that coalesces waiting jobs into a single write-lock
-// acquisition, preserving exact serial placement order while amortizing
-// lock traffic, snapshot invalidation, and headroom refresh across the
-// batch. Exhaustive analyses (drills, repack plans) run on a lock-free
-// clone of the cached snapshot so they never stall admissions. The
-// placement snapshot served by GET /v1/placement is cached between
-// mutations so hot readers do not rebuild it per request.
+// take the read lock and run concurrently; every mutation — POST
+// /v1/tenants, POST /v1/tenants:batch and DELETE /v1/tenants/{id} alike —
+// enqueues a job resolved by one placer goroutine (see pipeline.go) that
+// coalesces waiting jobs into a single write-lock acquisition, preserving
+// exact serial arrival order while amortizing lock traffic, snapshot
+// invalidation, and headroom refresh across the batch. Exhaustive analyses
+// (drills, repack plans) run on a lock-free clone of the cached snapshot
+// so they never stall admissions. The placement snapshot served by GET
+// /v1/placement is cached between mutations so hot readers do not rebuild
+// it per request.
 //
 // Durability: with a write-ahead log attached (WithWAL), the decision
 // event stream is group-committed — buffered, flushed, and synced once
-// per coalesced batch — before any admission in the batch is acked, and
+// per coalesced batch — before any mutation in the batch is acked, and
 // internal/recovery rebuilds the exact acked state from the log on boot.
-// A log error fails the admission path closed (503) rather than acking
-// unlogged placements. Departures commit the same way before their 204.
+// The placer is the log's only writer and syncs outside the controller
+// lock, so reads never wait on an fsync. A log error fails every mutation
+// closed (503) rather than acking unlogged state.
 //
 // Observability: every route is instrumented with request counters (by
 // method and status class) and latency histograms, and admissions are
@@ -100,6 +101,7 @@ const eventRingCapacity = 8192
 type Controller struct {
 	mu    sync.RWMutex
 	alg   packing.Algorithm
+	rem   Remover // alg's departure seam; nil when alg cannot remove tenants
 	model workload.LoadModel
 	// snap caches the trace.Capture of the current placement; nil after
 	// any mutation (including failed admissions, which may open servers).
@@ -149,8 +151,8 @@ type Controller struct {
 	procM   *metrics.ProcessMetrics
 
 	// wal, when attached, receives the decision event stream and is
-	// group-committed by the placer before admissions are acked; a WAL
-	// error fails the admission path closed (see placeJobs).
+	// group-committed by the placer before mutations are acked; a WAL
+	// error fails every mutation closed (see placeJobs).
 	wal obs.CommitLog
 	// Admission pipeline (see pipeline.go): queue feeds the single placer
 	// goroutine, sendMu+closed gate producers during shutdown, placerDone
@@ -166,8 +168,8 @@ type Controller struct {
 type Option func(*Controller)
 
 // WithWAL attaches a write-ahead log: the decision event stream is
-// recorded to it and group-committed before admissions are acked, and a
-// sink error disables the admission path (fail closed) instead of
+// recorded to it and group-committed before admissions and departures are
+// acked, and a sink error disables every mutation (fail closed) instead of
 // dropping events. Requires a recordable algorithm that also implements
 // Remover, so a failed commit can be rolled back. The controller takes
 // ownership: Close performs the final commit and closes the log.
@@ -228,16 +230,17 @@ func NewController(alg packing.Algorithm, model workload.LoadModel, opts ...Opti
 			c.admissions.With(p.String()).Inc()
 		})
 	}
+	c.rem, _ = alg.(Remover)
 	rec, canRecord := alg.(recordable)
 	if c.wal != nil {
 		if !canRecord {
 			return nil, fmt.Errorf("api: %s does not record decision events; cannot attach a WAL", alg.Name())
 		}
 		// A failed group commit is rolled back by removing the tenants the
-		// batch placed (placeJobs) or re-admitting a departed one
-		// (handleRemoveTenant); without Remove the 503s would lie about
-		// the in-memory state, so refuse the attachment up front.
-		if _, ok := alg.(Remover); !ok {
+		// batch placed and re-admitting the ones it departed (placeJobs);
+		// without Remove the 503s would lie about the in-memory state, so
+		// refuse the attachment up front.
+		if c.rem == nil {
 			return nil, fmt.Errorf("api: %s does not support tenant removal; cannot attach a WAL (commit-failure rollback requires it)", alg.Name())
 		}
 	}
@@ -469,20 +472,10 @@ func (c *Controller) handlePlace(w http.ResponseWriter, r *http.Request) {
 		sp.Tenant = req.ID
 		job.items[0].span = sp
 	}
-	if !c.enqueue(job) {
-		if sp := job.items[0].span; sp != nil {
-			obs.ReleaseSpan(sp)
-		}
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server shutting down"})
+	if !c.submit(w, job) {
 		return
 	}
-	<-job.done
 	it := &job.items[0]
-	if it.span != nil {
-		it.span.Status = it.status
-		c.tracer.finish(it.span)
-		it.span = nil
-	}
 	if it.status != http.StatusCreated {
 		writeJSON(w, it.status, errorResponse{Error: it.err})
 		return
@@ -524,53 +517,18 @@ func (c *Controller) handleRemoveTenant(w http.ResponseWriter, r *http.Request) 
 	if !ok {
 		return
 	}
-	rem, supports := c.alg.(Remover)
-	if !supports {
+	if c.rem == nil {
 		writeJSON(w, http.StatusMethodNotAllowed,
 			errorResponse{Error: fmt.Sprintf("%s does not support tenant departure", c.alg.Name())})
 		return
 	}
-	c.mu.Lock()
-	if c.wal != nil && c.wal.Err() != nil {
-		c.mu.Unlock()
-		writeJSON(w, http.StatusServiceUnavailable,
-			errorResponse{Error: "write-ahead log unavailable; mutations disabled"})
+	job := &admitJob{items: []admitItem{{tenant: packing.Tenant{ID: id}, depart: true}}, done: make(chan struct{})}
+	if !c.submit(w, job) {
 		return
 	}
-	// Captured before removal so a failed WAL commit can re-admit it.
-	t, _ := c.alg.Placement().Tenant(id)
-	err := rem.Remove(id)
-	if err == nil {
-		c.snap = nil
-		c.refreshHeadroom()
-	}
-	c.mu.Unlock()
-	if err != nil {
-		if errors.Is(err, packing.ErrUnknownTenant) {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+	if it := &job.items[0]; it.status != http.StatusNoContent {
+		writeJSON(w, it.status, errorResponse{Error: it.err})
 		return
-	}
-	// Departures are durable before they are acked, like admissions.
-	if c.wal != nil {
-		if werr := c.wal.Sync(); werr != nil {
-			// The depart event may not have reached stable storage, so the
-			// removal cannot be acked: re-admit the tenant and report 503,
-			// mirroring placeJobs' rollback, so reads keep serving the state
-			// the client was told. (If the flush landed but the fsync
-			// failed, recovery may still replay the departure — durability
-			// errs toward the log, never the ack.)
-			c.mu.Lock()
-			_ = c.alg.Place(t)
-			c.snap = nil
-			c.refreshHeadroom()
-			c.mu.Unlock()
-			writeJSON(w, http.StatusServiceUnavailable,
-				errorResponse{Error: "write-ahead log sync failed: " + werr.Error()})
-			return
-		}
 	}
 	w.WriteHeader(http.StatusNoContent)
 }

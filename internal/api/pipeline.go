@@ -2,6 +2,7 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -9,22 +10,22 @@ import (
 	"cubefit/internal/packing"
 )
 
-// Admission pipeline: every admission — single requests and batches alike
-// — is enqueued as a job on a bounded queue and resolved by one placer
-// goroutine. The placer coalesces whatever jobs are waiting into a single
-// write-lock acquisition, places the tenants in arrival order (the exact
-// serial semantics of the engine), invalidates the placement snapshot and
+// Admission pipeline: every mutation — admissions single and batched, and
+// departures — is enqueued as a job on a bounded queue and resolved by one
+// placer goroutine, the only one that mutates the engine or commits the
+// log. The placer coalesces whatever jobs are waiting into a single
+// write-lock acquisition, applies them in arrival order (the exact serial
+// semantics of the engine), invalidates the placement snapshot and
 // refreshes the headroom gauges once per batch, and then performs one
-// write-ahead-log group commit before any of the batched admissions are
-// acked. Handlers block on their job's future; arrival order is the queue
-// order, so a batch of N is indistinguishable from N back-to-back single
-// requests.
+// write-ahead-log group commit before any of the batch is acked. Handlers
+// block on their job's future; arrival order is the queue order, so a
+// batch of N is indistinguishable from N back-to-back single requests.
 
 const (
 	// admitQueueDepth bounds the number of queued jobs; producers block
 	// (backpressure) when the pipeline falls behind.
 	admitQueueDepth = 1024
-	// maxCoalescedItems caps how many admissions the placer folds into
+	// maxCoalescedItems caps how many mutations the placer folds into
 	// one lock acquisition and group commit, bounding ack latency for the
 	// first request of a busy burst.
 	maxCoalescedItems = 4096
@@ -32,13 +33,17 @@ const (
 	maxBatchTenants = 4096
 )
 
-// admitItem is one tenant travelling through the pipeline, carrying its
-// outcome back to the waiting handler.
+// admitItem is one admission (or departure, when depart is set) travelling
+// through the pipeline, carrying its outcome back to the waiting handler.
 type admitItem struct {
 	tenant packing.Tenant
-	// status is an HTTP status code: 0 until decided, http.StatusCreated
-	// on success. Items pre-rejected by request validation enter the
-	// queue with their status already set and are skipped by the placer.
+	// depart marks a departure; once applied, tenant holds the departed
+	// tenant so a failed commit can re-admit it.
+	depart bool
+	// status is an HTTP status code: 0 until decided, 201 for a placed
+	// admission, 204 for an applied departure. Items pre-rejected by request
+	// validation enter the queue with their status already set and are
+	// skipped by the placer.
 	status  int
 	err     string
 	servers []int
@@ -72,9 +77,34 @@ func (c *Controller) enqueue(job *admitJob) bool {
 	return true
 }
 
+// submit hands job to the placer, waits for every item's outcome and
+// completes the items' spans. When the controller is shutting down it
+// releases the spans, answers 503 and returns false; the caller writes
+// the response otherwise.
+func (c *Controller) submit(w http.ResponseWriter, job *admitJob) bool {
+	if !c.enqueue(job) {
+		for i := range job.items {
+			if sp := job.items[i].span; sp != nil {
+				obs.ReleaseSpan(sp)
+			}
+		}
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server shutting down"})
+		return false
+	}
+	<-job.done
+	for i := range job.items {
+		if it := &job.items[i]; it.span != nil {
+			it.span.Status = it.status
+			c.tracer.finish(it.span)
+			it.span = nil
+		}
+	}
+	return true
+}
+
 // Close drains the admission pipeline and, when a write-ahead log is
 // attached, performs its final group commit and closes it. In-flight and
-// already-queued admissions complete; subsequent ones are refused with
+// already-queued mutations complete; subsequent ones are refused with
 // 503. Close is idempotent and safe for concurrent use.
 func (c *Controller) Close() error {
 	c.sendMu.Lock()
@@ -95,7 +125,7 @@ func (c *Controller) Close() error {
 }
 
 // runPlacer is the pipeline's single consumer: it owns the order in which
-// admissions reach the engine.
+// admissions and departures reach the engine.
 func (c *Controller) runPlacer() {
 	defer close(c.placerDone)
 	jobs := make([]*admitJob, 0, 64)
@@ -125,12 +155,12 @@ func (c *Controller) runPlacer() {
 	}
 }
 
-// placeJobs admits every undecided item of the coalesced jobs under one
+// placeJobs applies every undecided item of the coalesced jobs under one
 // write-lock acquisition, then group-commits the write-ahead log before
-// the callers are released. On a failed commit every admission of the
-// batch is demoted to 503: its events may not have reached stable
-// storage, so acking it would break the recovery contract. The WAL error
-// is sticky, so all later admissions fail closed until the operator
+// the callers are released. On a failed commit every applied mutation of
+// the batch is undone and demoted to 503: its events may not have reached
+// stable storage, so acking it would break the recovery contract. The WAL
+// error is sticky, so all later mutations fail closed until the operator
 // intervenes.
 func (c *Controller) placeJobs(jobs []*admitJob) {
 	tr := c.tracer
@@ -146,7 +176,22 @@ func (c *Controller) placeJobs(jobs []*admitJob) {
 			}
 			if walDown {
 				it.status = http.StatusServiceUnavailable
-				it.err = "write-ahead log unavailable; admissions disabled"
+				it.err = "write-ahead log unavailable; mutations disabled"
+				continue
+			}
+			if it.depart {
+				t, _ := c.alg.Placement().Tenant(it.tenant.ID)
+				if err := c.rem.Remove(it.tenant.ID); err != nil {
+					it.status = http.StatusInternalServerError
+					if errors.Is(err, packing.ErrUnknownTenant) {
+						it.status = http.StatusNotFound
+					}
+					it.err = err.Error()
+					continue
+				}
+				it.tenant = t
+				it.status = http.StatusNoContent
+				mutated = true
 				continue
 			}
 			if _, exists := c.alg.Placement().Tenant(it.tenant.ID); exists {
@@ -183,6 +228,7 @@ func (c *Controller) placeJobs(jobs []*admitJob) {
 	// (including rejected items, which wait for the same fsync before
 	// their handler is released) carries the commit identity, so the
 	// fsync's cost is attributable across the admissions it covered.
+	// Departures carry no span; a departure-only commit has group 0.
 	var commitID uint64
 	var commitStart int64
 	if tr != nil {
@@ -198,25 +244,29 @@ func (c *Controller) placeJobs(jobs []*admitJob) {
 	}
 	if err := syncErr; err != nil {
 		// The batch's events may not have reached stable storage, so none
-		// of its admissions can be acked. Demote them to 503 and roll the
-		// tenants back out of the engine, keeping the in-memory state
-		// aligned with what clients were told. (If the flush landed but the
-		// fsync failed, recovery may still resurrect these admissions from
-		// the log — durability errs toward the log, never the ack.)
+		// of its mutations can be acked. Undo them in reverse arrival order
+		// ("admit X, depart X" leaves X absent) and demote them to 503,
+		// keeping the in-memory state aligned with what clients were told.
+		// (If the flush landed but the fsync failed, recovery may still
+		// replay them from the log — durability errs toward the log, never
+		// the ack.) An undo error is dropped: every item already answers
+		// 503. Place may re-admit a departed tenant on other servers.
 		msg := "write-ahead log sync failed: " + err.Error()
-		// NewController refuses WAL attachment on algorithms without
-		// Remove, so the rollback is always available here.
-		rem := c.alg.(Remover)
 		c.mu.Lock()
-		for _, job := range jobs {
-			for i := range job.items {
-				it := &job.items[i]
-				if it.status == http.StatusCreated {
-					it.status = http.StatusServiceUnavailable
-					it.err = msg
-					it.servers = nil
-					_ = rem.Remove(it.tenant.ID)
+		for j := len(jobs) - 1; j >= 0; j-- {
+			items := jobs[j].items
+			for i := len(items) - 1; i >= 0; i-- {
+				it := &items[i]
+				switch it.status {
+				case http.StatusCreated:
+					_ = c.rem.Remove(it.tenant.ID)
+				case http.StatusNoContent:
+					_ = c.alg.Place(it.tenant)
+				default:
+					continue
 				}
+				it.status = http.StatusServiceUnavailable
+				it.err = msg
 			}
 		}
 		c.snap = nil
@@ -328,24 +378,12 @@ func (c *Controller) handlePlaceBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 	}
-	if !c.enqueue(job) {
-		for i := range job.items {
-			if sp := job.items[i].span; sp != nil {
-				obs.ReleaseSpan(sp)
-			}
-		}
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server shutting down"})
+	if !c.submit(w, job) {
 		return
 	}
-	<-job.done
 	resp := batchResponse{Results: make([]batchResult, len(job.items))}
 	for i := range job.items {
 		it := &job.items[i]
-		if it.span != nil {
-			it.span.Status = it.status
-			c.tracer.finish(it.span)
-			it.span = nil
-		}
 		res := batchResult{ID: int(it.tenant.ID), Status: it.status, Error: it.err}
 		if it.status == http.StatusBadRequest {
 			// The id may not have parsed meaningfully; echo the request's.

@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -9,9 +10,11 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cubefit/internal/core"
 	"cubefit/internal/obs"
@@ -369,6 +372,242 @@ func TestRemoveTenantWALSyncFailureRollsBack(t *testing.T) {
 	}
 }
 
+// gateSyncer is a WAL writer whose group commits pass straight through
+// until armed. An armed Sync announces itself on entered and then blocks
+// until the test hands it a result, so a test can hold the placer inside
+// a commit for as long as it needs. open disarms the gate and releases
+// every blocked Sync with success; tests defer it so a failure never
+// leaves the placer parked.
+type gateSyncer struct {
+	armed   atomic.Bool
+	entered chan struct{}
+	result  chan error
+	done    chan struct{}
+	once    sync.Once
+}
+
+func newGateSyncer() *gateSyncer {
+	return &gateSyncer{entered: make(chan struct{}), result: make(chan error), done: make(chan struct{})}
+}
+
+func (g *gateSyncer) Write(p []byte) (int, error) { return len(p), nil }
+
+func (g *gateSyncer) Sync() error {
+	if !g.armed.Load() {
+		return nil
+	}
+	select {
+	case g.entered <- struct{}{}:
+	case <-g.done:
+		return nil
+	}
+	select {
+	case err := <-g.result:
+		return err
+	case <-g.done:
+		return nil
+	}
+}
+
+func (g *gateSyncer) open() {
+	g.once.Do(func() {
+		g.armed.Store(false)
+		close(g.done)
+	})
+}
+
+// awaitSync waits until an armed Sync is blocked.
+func (g *gateSyncer) awaitSync(t *testing.T) {
+	t.Helper()
+	select {
+	case <-g.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no group commit reached Sync")
+	}
+}
+
+// asyncDo sends a request from its own goroutine and delivers the
+// response status, or -1 on a transport error.
+func asyncDo(method, url, body string) <-chan int {
+	ch := make(chan int, 1)
+	go func() {
+		req, err := http.NewRequest(method, url, strings.NewReader(body))
+		if err != nil {
+			ch <- -1
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			ch <- -1
+			return
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		ch <- resp.StatusCode
+	}()
+	return ch
+}
+
+// waitUntil polls cond until it holds, failing after 5s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	timeout := time.After(5 * time.Second)
+	for !cond() {
+		select {
+		case <-timeout:
+			t.Fatalf("timed out waiting for %s", what)
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
+// wantStatus receives a request's status, failing after 5s or on a
+// mismatch.
+func wantStatus(t *testing.T, what string, ch <-chan int, want int) {
+	t.Helper()
+	select {
+	case got := <-ch:
+		if got != want {
+			t.Fatalf("%s: status %d, want %d", what, got, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: no response", what)
+	}
+}
+
+// TestReadsDoNotWaitOnDepartureFsync is the regression test for the
+// read stall: with a departure and an admission in flight and a group
+// commit hung inside Sync, reads must still answer promptly. They did not
+// while departures synced the log from their own handler: the placer (or
+// the departure) then waited on the log's mutex while holding the
+// controller write lock, queueing every read behind the fsync.
+func TestReadsDoNotWaitOnDepartureFsync(t *testing.T) {
+	gs := newGateSyncer()
+	srv, _, ctrl := newEngineServer(t, WithWAL(obs.NewWAL(gs)))
+	for id := 1; id <= 2; id++ {
+		if code := doJSON(t, "POST", srv.URL+"/v1/tenants", map[string]any{"id": id, "load": 0.2}, nil); code != 201 {
+			t.Fatalf("place %d: %d", id, code)
+		}
+	}
+	gs.armed.Store(true)
+	defer gs.open()
+	del := asyncDo("DELETE", srv.URL+"/v1/tenants/1", "")
+	gs.awaitSync(t)
+	enq := ctrl.tracer.enqueuedJobs.Load()
+	admit := asyncDo("POST", srv.URL+"/v1/tenants", `{"id":3,"load":0.2}`)
+	waitUntil(t, "the admission to enqueue", func() bool { return ctrl.tracer.enqueuedJobs.Load() > enq })
+
+	// Reads are spread over ~100ms so some run after the queued admission
+	// has reached the engine; passing never depends on that timing.
+	client := &http.Client{Timeout: 2 * time.Second}
+	for round := 0; round < 20; round++ {
+		time.Sleep(5 * time.Millisecond)
+		for _, path := range []string{"/v1/stats", "/v1/tenants/2"} {
+			resp, err := client.Get(srv.URL + path)
+			if err != nil {
+				t.Fatalf("GET %s while a commit is in Sync: %v", path, err)
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET %s: %d", path, resp.StatusCode)
+			}
+		}
+	}
+	gs.open()
+	wantStatus(t, "DELETE 1", del, http.StatusNoContent)
+	wantStatus(t, "admit 3", admit, http.StatusCreated)
+}
+
+// TestDepartureAppliedInArrivalOrder: an admission of X and a DELETE of
+// X that coalesce into one batch are applied in arrival order under one
+// group commit, so the DELETE finds X (204) instead of answering 404
+// while X's admission is still queued. The commit's size counts only the
+// admission.
+func TestDepartureAppliedInArrivalOrder(t *testing.T) {
+	gs := newGateSyncer()
+	srv, cf, ctrl := newEngineServer(t, WithWAL(obs.NewWAL(gs)))
+	gs.armed.Store(true)
+	defer gs.open()
+	first := asyncDo("POST", srv.URL+"/v1/tenants", `{"id":1,"load":0.3}`)
+	gs.awaitSync(t) // the placer is parked in tenant 1's commit
+	seq := ctrl.tracer.commitSeq.Load()
+
+	admit := asyncDo("POST", srv.URL+"/v1/tenants", `{"id":7,"load":0.2}`)
+	waitUntil(t, "admit 7 to queue", func() bool { return len(ctrl.queue) == 1 })
+	del := asyncDo("DELETE", srv.URL+"/v1/tenants/7", "")
+	waitUntil(t, "DELETE 7 to queue", func() bool { return len(ctrl.queue) == 2 })
+
+	gs.open()
+	wantStatus(t, "admit 1", first, http.StatusCreated)
+	wantStatus(t, "admit 7", admit, http.StatusCreated)
+	wantStatus(t, "DELETE 7", del, http.StatusNoContent)
+
+	if _, ok := cf.Placement().Tenant(7); ok {
+		t.Fatal("tenant 7 still placed after its acked departure")
+	}
+	if got := ctrl.tracer.commitSeq.Load(); got != seq+1 {
+		t.Fatalf("commits after the stall = %d, want 1 (one group commit for the batch)", got-seq)
+	}
+	if _, recent := ctrl.tracer.commitRing.Snapshot(1); len(recent) != 1 || recent[0].Size != 1 {
+		t.Fatalf("last commit = %+v, want size 1", recent)
+	}
+}
+
+// TestFailedCommitUndoesBatchInReverse: when the group commit of a batch
+// mixing departures and admissions fails, every item is answered 503 and
+// undone in reverse arrival order — "admit 7, depart 7" leaves 7 absent,
+// a departed tenant comes back, and the placement stays robust.
+func TestFailedCommitUndoesBatchInReverse(t *testing.T) {
+	gs := newGateSyncer()
+	srv, cf, ctrl := newEngineServer(t, WithWAL(obs.NewWAL(gs)))
+	if code := doJSON(t, "POST", srv.URL+"/v1/tenants", map[string]any{"id": 1, "clients": 5}, nil); code != 201 {
+		t.Fatalf("place 1: %d", code)
+	}
+	gs.armed.Store(true)
+	defer gs.open()
+	first := asyncDo("POST", srv.URL+"/v1/tenants", `{"id":2,"load":0.3}`)
+	gs.awaitSync(t)
+
+	var batch []<-chan int
+	for i, r := range []struct{ method, path, body string }{
+		{"DELETE", "/v1/tenants/1", ""},
+		{"POST", "/v1/tenants", `{"id":7,"load":0.2}`},
+		{"DELETE", "/v1/tenants/7", ""},
+		{"POST", "/v1/tenants", `{"id":8,"load":0.4}`},
+	} {
+		batch = append(batch, asyncDo(r.method, srv.URL+r.path, r.body))
+		waitUntil(t, fmt.Sprintf("item %d to queue", i), func() bool { return len(ctrl.queue) == i+1 })
+	}
+
+	gs.result <- nil // tenant 2's commit succeeds
+	wantStatus(t, "admit 2", first, http.StatusCreated)
+	gs.awaitSync(t) // the coalesced batch's commit
+	gs.result <- errors.New("disk gone")
+	for i, ch := range batch {
+		wantStatus(t, fmt.Sprintf("batch item %d", i), ch, http.StatusServiceUnavailable)
+	}
+
+	p := cf.Placement()
+	for _, id := range []packing.TenantID{7, 8} {
+		if _, ok := p.Tenant(id); ok {
+			t.Fatalf("tenant %d placed after its commit failed", id)
+		}
+	}
+	if tn, ok := p.Tenant(1); !ok || tn.Clients != 5 {
+		t.Fatalf("departed tenant 1 not re-admitted intact: %+v present=%v", tn, ok)
+	}
+	if _, ok := p.Tenant(2); !ok {
+		t.Fatal("committed tenant 2 lost")
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if code := doJSON(t, "GET", srv.URL+"/v1/tenants/7", nil, nil); code != 404 {
+		t.Fatalf("GET tenant 7: %d, want 404", code)
+	}
+}
+
 // noDepart is recordable but cannot remove tenants: attaching a WAL to it
 // must be refused at construction, because the commit-failure rollback
 // depends on Remove.
@@ -498,4 +737,60 @@ func TestSingleConcurrentAdmissions(t *testing.T) {
 	if err := cf.Placement().Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzPlaceBatch drives arbitrary bytes as the body of POST
+// /v1/tenants:batch into a fresh controller. The decoder and per-item
+// validation must never panic, the transport answers 200 or 400, every
+// item carries a status of the single-endpoint contract (201, 400, 409,
+// 422), placed and failed partition the results, and the placement stays
+// robust.
+func FuzzPlaceBatch(f *testing.F) {
+	f.Add([]byte(`{"tenants":[{"id":1,"load":0.3},{"id":2,"clients":8}]}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		ctrl, err := NewDefaultController()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ctrl.Close()
+		h := ctrl.Handler()
+
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/tenants:batch", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusBadRequest:
+		case http.StatusOK:
+			var resp batchResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("200 body does not decode: %v", err)
+			}
+			if resp.Placed+resp.Failed != len(resp.Results) {
+				t.Fatalf("placed %d + failed %d != %d results", resp.Placed, resp.Failed, len(resp.Results))
+			}
+			created := 0
+			for i, res := range resp.Results {
+				switch res.Status {
+				case http.StatusCreated:
+					created++
+				case http.StatusBadRequest, http.StatusConflict, http.StatusUnprocessableEntity:
+				default:
+					t.Fatalf("item %d status %d", i, res.Status)
+				}
+			}
+			if created != resp.Placed {
+				t.Fatalf("%d items 201, placed %d", created, resp.Placed)
+			}
+		default:
+			t.Fatalf("transport status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/validate", nil))
+		var v struct {
+			Robust bool `json:"robust"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil || rec.Code != http.StatusOK || !v.Robust {
+			t.Fatalf("validate: %d %s", rec.Code, rec.Body.Bytes())
+		}
+	})
 }
