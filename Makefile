@@ -100,7 +100,7 @@ loadtest-compare: loadtest
 # throughput gate; it fails only if an admission or a commit fails.
 loadtest-wal:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	$(GO) run ./cmd/cubefit-load -mode batch -ops $(LOAD_OPS) -wal "$$dir/wal.jsonl" -o LOAD_wal.json
+	$(GO) run ./cmd/cubefit-load -mode batch -ops $(LOAD_OPS) -wal "$$dir/wal.log" -o LOAD_wal.json
 
 # Span-layer overhead gate: the same harness with admission tracing off
 # (baseline) and on, diffed. The acceptance bar is ≥95% of untraced

@@ -63,11 +63,12 @@
 // -health-log streams every tick's samples and every state transition as
 // JSONL for offline replay with `cubefit-inspect health`.
 //
-// Durability: with -wal the decision stream doubles as a write-ahead log.
-// At boot the server replays the log into a fresh engine, cross-checks the
-// rebuilt placement against an independent event-level replay and the
+// Durability: with -wal every committed admission, rejection and
+// departure is one record in a write-ahead operation log. At boot the
+// server replays the log into a fresh engine, checks every re-placed
+// tenant against its logged servers and the result against the
 // robustness validator, and refuses to serve from a log that does not
-// replay cleanly. Admissions and departures are group-committed (flushed
+// replay cleanly or is in the retired event-JSON (v1) format. Admissions and departures are group-committed (flushed
 // and fsynced) to the log before they are acked; if the log cannot commit,
 // mutations fail closed with 503. The server refuses to boot while
 // segment files of the retired sharded log format (<path>.seg0,
@@ -285,20 +286,16 @@ func newServer(args []string) (*http.Server, options, error) {
 			return nil, options{}, fmt.Errorf("wal recovery: %w", err)
 		}
 		slog.Info("wal recovered", "path", *walPath,
-			"events", rstats.Events, "admitted", rstats.Admitted,
+			"ops", rstats.Ops, "admitted", rstats.Admitted,
 			"rejected", rstats.Rejected, "departed", rstats.Departed,
-			"dropped", rstats.Dropped, "torn", rstats.Torn,
-			"tenants", cf.Placement().NumTenants())
-		// Cut the uncommitted suffix before appending. Complete event
-		// lines past the last committed admit/reject/depart (left by a
-		// bufio auto-flush that outran its group commit) and any torn
-		// partial record were dropped by recovery; left in the file, fresh
-		// records would append after them and the next boot would read an
-		// interleaved, unreplayable log.
+			"torn", rstats.Torn, "tenants", cf.Placement().NumTenants())
+		// Cut a torn tail before appending: left in the file, the first
+		// fresh record would be glued onto its bytes and the next boot
+		// would read a corrupt record.
 		if trimmed, terr := obs.TruncateWAL(*walPath, rstats.CommittedBytes); terr != nil {
 			return nil, options{}, fmt.Errorf("wal truncate: %w", terr)
 		} else if trimmed > 0 {
-			slog.Info("wal uncommitted suffix truncated", "path", *walPath, "bytes", trimmed)
+			slog.Info("wal torn tail truncated", "path", *walPath, "bytes", trimmed)
 		}
 		wal, werr := obs.OpenWAL(*walPath)
 		if werr != nil {

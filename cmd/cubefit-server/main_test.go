@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -408,7 +409,7 @@ func TestRedLineFlag(t *testing.T) {
 // server booted with the same -wal serves the exact surviving state and
 // keeps appending to the same log.
 func TestWALBootCycle(t *testing.T) {
-	walPath := filepath.Join(t.TempDir(), "wal.jsonl")
+	walPath := filepath.Join(t.TempDir(), "wal.log")
 	args := []string{"-wal", walPath, "-gamma", "2", "-k", "10"}
 
 	srv1, opts1, err := newServer(args)
@@ -468,13 +469,13 @@ func TestWALBootCycle(t *testing.T) {
 }
 
 // TestWALBootCycleAfterUncommittedSuffix is the crash-then-restart-twice
-// regression: a crash can leave complete-but-uncommitted event lines in
-// the log (a bufio auto-flush without its closing admit). The first boot
-// must drop AND truncate them — if it only dropped them, its own appended
-// records would land after the stale suffix and the second boot would
-// read an interleaved log and refuse to start.
+// regression: a crash can leave a torn record at the end of the log (here
+// a complete admission record whose newline never reached the disk). The
+// first boot must drop AND truncate it — if it only dropped it, its own
+// first appended record would be glued onto the torn bytes and the second
+// boot would read a corrupt record and refuse to start.
 func TestWALBootCycleAfterUncommittedSuffix(t *testing.T) {
-	walPath := filepath.Join(t.TempDir(), "wal.jsonl")
+	walPath := filepath.Join(t.TempDir(), "wal.log")
 	args := []string{"-wal", walPath, "-gamma", "2", "-k", "10"}
 
 	srv1, opts1, err := newServer(args)
@@ -498,31 +499,20 @@ func TestWALBootCycleAfterUncommittedSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Simulate the crash: an attempt and a partial placement reached the
-	// file as complete lines, the closing admit never did.
+	// Simulate the crash: an admission record reached the file without
+	// its terminating newline, so it was never acked.
 	f, err := os.OpenFile(walPath, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	open := obs.NewEvent(obs.KindAttempt)
-	open.Tenant = 777
-	open.Size = 0.4
-	place := obs.NewEvent(obs.KindStage1Place)
-	place.Tenant = 777
-	place.Replica = 0
-	place.Server = 0
-	place.Size = 0.4
-	enc := json.NewEncoder(f)
-	for _, e := range []obs.Event{open, place} {
-		if err := enc.Encode(e); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := f.WriteString("A 777 0.4 0 10 11"); err != nil {
+		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Boot 2 recovers (dropping the suffix) and keeps admitting.
+	// Boot 2 recovers (dropping the torn record) and keeps admitting.
 	srv2, opts2, err := newServer(args)
 	if err != nil {
 		t.Fatalf("boot after crash: %v", err)
@@ -544,7 +534,7 @@ func TestWALBootCycleAfterUncommittedSuffix(t *testing.T) {
 	}
 
 	// Boot 3 is the regression: the log must still replay cleanly after
-	// boot 2 appended past the (now truncated) uncommitted suffix.
+	// boot 2 appended past the (now truncated) torn record.
 	srv3, opts3, err := newServer(args)
 	if err != nil {
 		t.Fatalf("second restart refused the log: %v", err)
@@ -563,7 +553,7 @@ func TestWALBootCycleAfterUncommittedSuffix(t *testing.T) {
 // TestWALBootRefusesBadLog: a server must not serve from a log that does
 // not replay cleanly.
 func TestWALBootRefusesBadLog(t *testing.T) {
-	walPath := filepath.Join(t.TempDir(), "wal.jsonl")
+	walPath := filepath.Join(t.TempDir(), "wal.log")
 	if err := os.WriteFile(walPath, []byte("{\"kind\":\"admit\",\"tenant\":1}\nnot json\n{\"kind\":\"admit\",\"tenant\":2}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -577,7 +567,7 @@ func TestWALBootRefusesBadLog(t *testing.T) {
 // would silently drop them, so the server must refuse and name the files.
 func TestWALBootRefusesSegmentFiles(t *testing.T) {
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, "wal.jsonl")
+	walPath := filepath.Join(dir, "wal.log")
 	seg := walPath + ".seg0"
 	if err := os.WriteFile(seg, []byte("{\"kind\":\"attempt\",\"tenant\":1}\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -602,6 +592,29 @@ func TestWALBootRefusesSegmentFiles(t *testing.T) {
 	}
 	if err := opts.ctrl.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWALBootRefusesV1Log: a log in the retired event-JSON format is
+// refused with an error naming the format and the remedy, and the file is
+// left byte for byte as it was.
+func TestWALBootRefusesV1Log(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "wal.log")
+	v1 := []byte(`{"seq":1,"time":"2026-01-02T03:04:05Z","kind":"attempt","tenant":1,"replica":-1,"server":-1,"slot":-1,"class":-1,"counter":-1,"size":0.3}` + "\n" +
+		`{"seq":2,"time":"2026-01-02T03:04:05Z","kind":"cube_place","tenant":1,"replica":0,"server":0,"slot":0,"class":3,"counter":0,"digits":[0,0],"size":0.15}` + "\n" +
+		`{"seq":3,"time":"2026-01-02T03:04:05Z","kind":"admit","tenant":1,"replica":-1,"server":-1,"slot":-1,"class":-1,"counter":-1,"path":"regular"}`)
+	if err := os.WriteFile(walPath, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := newServer([]string{"-wal", walPath})
+	if !errors.Is(err, obs.ErrWALV1) {
+		t.Fatalf("boot beside a v1 log: err = %v, want ErrWALV1", err)
+	}
+	if !strings.Contains(err.Error(), "v1 event-JSON format") || !strings.Contains(err.Error(), "move it aside") {
+		t.Fatalf("error does not name the format and the remedy: %v", err)
+	}
+	if got, rerr := os.ReadFile(walPath); rerr != nil || !bytes.Equal(got, v1) {
+		t.Fatalf("refused boot changed the log (err %v)", rerr)
 	}
 }
 

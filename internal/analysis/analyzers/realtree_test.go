@@ -84,6 +84,10 @@ func TestRealTreeHotpathAnnotationsPresent(t *testing.T) {
 		"cubefit/internal/obs.ReleaseSpan",
 		"cubefit/internal/obs.Span.Normalize",
 		"cubefit/internal/obs.Ring.Record",
+		// The write-ahead log's per-event filter and record encoder.
+		"cubefit/internal/obs.WAL.Record",
+		"cubefit/internal/obs.WAL.writeLocked",
+		"cubefit/internal/obs.appendOp",
 		// The pipeline tracer's per-admission instrumentation points.
 		"cubefit/internal/api.pipelineTracer.now",
 		"cubefit/internal/api.pipelineTracer.enqueued",
@@ -113,6 +117,10 @@ func TestRealTreeGuardedByAnnotationsPresent(t *testing.T) {
 	}
 	want := map[string]string{
 		"cubefit/internal/obs.WAL.bw":            "mu",
+		"cubefit/internal/obs.WAL.open":          "mu",
+		"cubefit/internal/obs.WAL.pending":       "mu",
+		"cubefit/internal/obs.WAL.hostBuf":       "mu",
+		"cubefit/internal/obs.WAL.lineBuf":       "mu",
 		"cubefit/internal/obs.WAL.n":             "mu",
 		"cubefit/internal/obs.WAL.synced":        "mu",
 		"cubefit/internal/obs.WAL.err":           "mu",

@@ -17,9 +17,9 @@
 // /v1/placement is cached between mutations so hot readers do not rebuild
 // it per request.
 //
-// Durability: with a write-ahead log attached (WithWAL), the decision
-// event stream is group-committed — buffered, flushed, and synced once
-// per coalesced batch — before any mutation in the batch is acked, and
+// Durability: with a write-ahead log attached (WithWAL), every mutation's
+// operation record is group-committed — buffered, flushed, and synced
+// once per coalesced batch — before any mutation in the batch is acked, and
 // internal/recovery rebuilds the exact acked state from the log on boot.
 // The placer is the log's only writer and syncs outside the controller
 // lock, so reads never wait on an fsync. A log error fails every mutation
@@ -167,10 +167,10 @@ type Controller struct {
 // Option configures a Controller beyond its required dependencies.
 type Option func(*Controller)
 
-// WithWAL attaches a write-ahead log: the decision event stream is
-// recorded to it and group-committed before admissions and departures are
-// acked, and a sink error disables every mutation (fail closed) instead of
-// dropping events. Requires a recordable algorithm that also implements
+// WithWAL attaches a write-ahead log: it rides the decision event stream
+// (obs.WAL keeps one record per committed operation) and is
+// group-committed before admissions and departures are acked, and a log
+// error disables every mutation (fail closed) instead of dropping records. Requires a recordable algorithm that also implements
 // Remover, so a failed commit can be rolled back. The controller takes
 // ownership: Close performs the final commit and closes the log.
 func WithWAL(w obs.CommitLog) Option {

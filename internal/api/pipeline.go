@@ -158,7 +158,7 @@ func (c *Controller) runPlacer() {
 // placeJobs applies every undecided item of the coalesced jobs under one
 // write-lock acquisition, then group-commits the write-ahead log before
 // the callers are released. On a failed commit every applied mutation of
-// the batch is undone and demoted to 503: its events may not have reached
+// the batch is undone and demoted to 503: its record may not have reached
 // stable storage, so acking it would break the recovery contract. The WAL
 // error is sticky, so all later mutations fail closed until the operator
 // intervenes.
@@ -243,7 +243,7 @@ func (c *Controller) placeJobs(jobs []*admitJob) {
 		tr.commitDone(commitID, group, commitEnd-commitStart, commitEnd, syncErr != nil)
 	}
 	if err := syncErr; err != nil {
-		// The batch's events may not have reached stable storage, so none
+		// The batch's records may not have reached stable storage, so none
 		// of its mutations can be acked. Undo them in reverse arrival order
 		// ("admit X, depart X" leaves X absent) and demote them to 503,
 		// keeping the in-memory state aligned with what clients were told.

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,19 +12,56 @@ import (
 	"testing"
 )
 
-// walEvent builds a minimal admit-shaped event for WAL tests.
-func walEvent(tenant int) Event {
-	e := NewEvent(KindAdmit)
+// walDepart builds a departure event; the WAL writes it as a record on
+// its own.
+func walDepart(tenant int) Event {
+	e := NewEvent(KindDepart)
 	e.Tenant = tenant
-	e.Path = "regular"
 	return e
+}
+
+// admissionEvents returns the events a CubeFit admission of tenant onto
+// hosts emits, trace-only kinds included.
+func admissionEvents(tenant int, load float64, clients int, hosts ...int) []Event {
+	a := NewEvent(KindAttempt)
+	a.Tenant, a.Size, a.Clients = tenant, load, clients
+	evs := []Event{a}
+	for r, h := range hosts {
+		probe := NewEvent(KindStage1Probe)
+		probe.Tenant, probe.Replica, probe.Probes = tenant, r, 3
+		place := NewEvent(KindCubePlace)
+		place.Tenant, place.Replica, place.Server, place.Size = tenant, r, h, load/float64(len(hosts))
+		place.Digits = []int{r, 0}
+		evs = append(evs, probe, place)
+	}
+	adv := NewEvent(KindCubeAdvance)
+	adv.Counter = 1
+	admit := NewEvent(KindAdmit)
+	admit.Tenant, admit.Path = tenant, "regular"
+	return append(evs, adv, admit)
+}
+
+// recordAdmission feeds rec the events of one admission.
+func recordAdmission(rec Recorder, tenant int, load float64, clients int, hosts ...int) {
+	for _, e := range admissionEvents(tenant, load, clients, hosts...) {
+		rec.Record(e)
+	}
+}
+
+// encodeOps is the canonical byte form of ops.
+func encodeOps(ops []Op) []byte {
+	var out []byte
+	for _, op := range ops {
+		out = appendOp(out, op)
+	}
+	return out
 }
 
 func TestWALGroupCommit(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWAL(&buf)
 	for i := 0; i < 5; i++ {
-		w.Record(walEvent(i))
+		recordAdmission(w, i, 0.1*float64(i+1), i, 2*i, 2*i+1)
 	}
 	if got := w.Count(); got != 5 {
 		t.Fatalf("Count = %d, want 5", got)
@@ -31,23 +69,132 @@ func TestWALGroupCommit(t *testing.T) {
 	if got := w.Synced(); got != 0 {
 		t.Fatalf("Synced = %d before Sync, want 0", got)
 	}
+	if buf.Len() != 0 {
+		t.Fatalf("%d bytes reached the writer before Sync", buf.Len())
+	}
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.Synced(); got != 5 {
 		t.Fatalf("Synced = %d, want 5", got)
 	}
-	events, torn, err := ReadWAL(&buf)
+	ops, _, torn, err := ReadWALOffsets(&buf)
 	if err != nil || torn {
-		t.Fatalf("ReadWAL: events=%d torn=%v err=%v", len(events), torn, err)
+		t.Fatalf("ReadWALOffsets: ops=%d torn=%v err=%v", len(ops), torn, err)
 	}
-	if len(events) != 5 {
-		t.Fatalf("read %d events, want 5", len(events))
+	if len(ops) != 5 {
+		t.Fatalf("read %d ops, want 5", len(ops))
 	}
-	for i, e := range events {
-		if e.Tenant != i || e.Kind != KindAdmit {
-			t.Fatalf("event %d = %+v", i, e)
+	for i, op := range ops {
+		want := Op{Kind: OpAdmit, Tenant: i, Load: 0.1 * float64(i+1), Clients: i, Servers: []int{2 * i, 2*i + 1}}
+		if !reflect.DeepEqual(op, want) {
+			t.Fatalf("op %d = %+v, want %+v", i, op, want)
 		}
+	}
+}
+
+// TestWALRecordFormat pins the record bytes for the three operations,
+// including a first-stage fallback (replicas placed, rolled back, then
+// re-placed by the cube) and a rejection that rolled back a partial
+// placement: only the final hosts reach the log, and trace-only kinds
+// write nothing.
+func TestWALRecordFormat(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWAL(&buf)
+	ev := func(kind Kind, tenant, replica, server int) Event {
+		e := NewEvent(kind)
+		e.Tenant, e.Replica, e.Server = tenant, replica, server
+		return e
+	}
+	attempt := ev(KindAttempt, 1, Unset, Unset)
+	attempt.Size, attempt.Clients = 0.25, 4
+	w.Record(attempt)
+	w.Record(ev(KindStage1Probe, 1, 0, 3))
+	w.Record(ev(KindStage1Place, 1, 0, 3))
+	w.Record(ev(KindStage1Probe, 1, 1, Unset))
+	w.Record(ev(KindRollback, 1, Unset, Unset))
+	w.Record(ev(KindBinOpen, Unset, Unset, 5))
+	w.Record(ev(KindCubePlace, 1, 0, 5))
+	w.Record(ev(KindCubePlace, 1, 1, 6))
+	w.Record(ev(KindCubeAdvance, Unset, Unset, Unset))
+	w.Record(ev(KindBinMature, Unset, Unset, 5))
+	w.Record(ev(KindAdmit, 1, Unset, Unset))
+	if buf.Len() != 0 || w.Count() != 1 {
+		t.Fatalf("after one admission: %d bytes written, %d records", buf.Len(), w.Count())
+	}
+	reject := ev(KindAttempt, 2, Unset, Unset)
+	reject.Size = 1.5
+	w.Record(reject)
+	w.Record(ev(KindPlace, 2, 0, 7))
+	w.Record(ev(KindRollback, 2, Unset, Unset))
+	w.Record(ev(KindReject, 2, Unset, Unset))
+	w.Record(walDepart(1))
+	w.Record(ev(KindBinRetire, Unset, Unset, 5))
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	const want = "A 1 0.25 4 5 6\nR 2 1.5 0\nD 1\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("log = %q, want %q", got, want)
+	}
+	if w.Count() != 3 || w.Synced() != 3 {
+		t.Fatalf("Count %d Synced %d, want 3/3", w.Count(), w.Synced())
+	}
+}
+
+// TestWALFailsClosedOnBrokenAdmission: an event sequence the log cannot
+// turn into a record makes it sticky-failed instead of writing a guess.
+func TestWALFailsClosedOnBrokenAdmission(t *testing.T) {
+	admit := NewEvent(KindAdmit)
+	admit.Tenant = 1
+	place := func(tenant, replica, server int) Event {
+		e := NewEvent(KindCubePlace)
+		e.Tenant, e.Replica, e.Server = tenant, replica, server
+		return e
+	}
+	attempt := admissionEvents(1, 0.2, 0)[0]
+	cases := map[string][]Event{
+		"admit without attempt":    {admit},
+		"place without attempt":    {place(1, 0, 0)},
+		"admit of another tenant":  {admissionEvents(2, 0.2, 0)[0], admit},
+		"replica left unplaced":    {attempt, place(1, 1, 4), admit},
+		"admit placing nothing":    {attempt, admit},
+		"place of another tenant":  {attempt, place(2, 0, 0)},
+		"admit twice":              append(admissionEvents(1, 0.2, 0, 0, 1), admit),
+		"replica index past bound": {attempt, place(1, maxReplicas+1, 0)},
+	}
+	for name, evs := range cases {
+		t.Run(name, func(t *testing.T) {
+			var buf bytes.Buffer
+			w := NewWAL(&buf)
+			for _, e := range evs {
+				w.Record(e)
+			}
+			if w.Err() == nil || !w.Failed() {
+				t.Fatalf("log accepted the sequence: err=%v failed=%v", w.Err(), w.Failed())
+			}
+			if err := w.Sync(); err == nil {
+				t.Fatal("Sync succeeded on a failed log")
+			}
+		})
+	}
+}
+
+// TestWALRecordAllocs pins the encoder's steady state: recording a whole
+// admission and a departure allocates nothing once the buffers are warm.
+func TestWALRecordAllocs(t *testing.T) {
+	w := NewWAL(io.Discard)
+	evs := append(admissionEvents(7, 0.123456789, 12, 40, 41, 42), walDepart(7))
+	allocs := testing.AllocsPerRun(200, func() {
+		for _, e := range evs {
+			w.Record(e)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Record allocates %.1f times per admission+departure, want 0", allocs)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -68,9 +215,9 @@ func (f *failAfter) Write(p []byte) (int, error) {
 func TestWALStickyError(t *testing.T) {
 	w := NewWAL(&failAfter{n: 64})
 	// Overflow the 1 MiB staging buffer so the failing writer is reached.
-	big := walEvent(1)
-	big.Reason = strings.Repeat("x", walBufferSize)
-	w.Record(big)
+	for i := 0; w.Err() == nil && i < walBufferSize; i++ {
+		w.Record(walDepart(i))
+	}
 	if err := w.Sync(); err == nil {
 		t.Fatal("Sync on a full disk succeeded")
 	}
@@ -79,7 +226,7 @@ func TestWALStickyError(t *testing.T) {
 	}
 	// Sticky: later records are dropped and later syncs keep failing.
 	before := w.Count()
-	w.Record(walEvent(2))
+	w.Record(walDepart(-1))
 	if w.Count() != before {
 		t.Fatal("Record accepted an event after a sticky error")
 	}
@@ -103,7 +250,7 @@ func TestWALSyncsUnderlyingWriter(t *testing.T) {
 	var sc syncCounter
 	w := NewWAL(&sc)
 	for i := 0; i < 100; i++ {
-		w.Record(walEvent(i))
+		recordAdmission(w, i, 0.2, 0, i, i+1)
 	}
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
@@ -111,12 +258,15 @@ func TestWALSyncsUnderlyingWriter(t *testing.T) {
 	if sc.syncs != 1 {
 		t.Fatalf("underlying Sync called %d times for one group commit", sc.syncs)
 	}
-	events, _, err := ReadWAL(&sc.Buffer)
-	if err != nil || len(events) != 100 {
-		t.Fatalf("read back %d events, err=%v", len(events), err)
+	ops, _, _, err := ReadWALOffsets(&sc.Buffer)
+	if err != nil || len(ops) != 100 {
+		t.Fatalf("read back %d ops, err=%v", len(ops), err)
 	}
 }
 
+// TestWALConcurrentRecord: records from concurrent writers never tear
+// into each other. Departures stand alone; admissions must reach the log
+// one at a time, which the controller's single placer guarantees.
 func TestWALConcurrentRecord(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWAL(&buf)
@@ -126,7 +276,7 @@ func TestWALConcurrentRecord(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				w.Record(walEvent(g*1000 + i))
+				w.Record(walDepart(g*1000 + i))
 			}
 		}(g)
 	}
@@ -134,12 +284,19 @@ func TestWALConcurrentRecord(t *testing.T) {
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	events, torn, err := ReadWAL(&buf)
+	ops, _, torn, err := ReadWALOffsets(&buf)
 	if err != nil || torn {
-		t.Fatalf("ReadWAL: torn=%v err=%v", torn, err)
+		t.Fatalf("ReadWALOffsets: torn=%v err=%v", torn, err)
 	}
-	if len(events) != 8*200 {
-		t.Fatalf("read %d events, want %d", len(events), 8*200)
+	if len(ops) != 8*200 {
+		t.Fatalf("read %d ops, want %d", len(ops), 8*200)
+	}
+	seen := make(map[int]bool)
+	for _, op := range ops {
+		if op.Kind != OpDepart || seen[op.Tenant] {
+			t.Fatalf("unexpected or repeated op %+v", op)
+		}
+		seen[op.Tenant] = true
 	}
 }
 
@@ -147,50 +304,73 @@ func TestReadWALTornTail(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWAL(&buf)
 	for i := 0; i < 3; i++ {
-		w.Record(walEvent(i))
+		recordAdmission(w, i, 0.3, 2, 2*i, 2*i+1)
 	}
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a crash mid-write: truncate the log inside the last record.
 	data := buf.Bytes()
-	data = data[:len(data)-10]
-	events, torn, err := ReadWAL(bytes.NewReader(data))
+	data = data[:len(data)-5]
+	ops, _, torn, err := ReadWALOffsets(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !torn {
 		t.Fatal("truncated tail not reported as torn")
 	}
-	if len(events) != 2 {
-		t.Fatalf("recovered %d events from torn log, want 2", len(events))
+	if len(ops) != 2 {
+		t.Fatalf("recovered %d ops from torn log, want 2", len(ops))
 	}
 }
 
 func TestReadWALCorruptionMidFile(t *testing.T) {
-	log := `{"kind":"admit","tenant":1}
-not json at all
-{"kind":"admit","tenant":2}
-`
-	if _, _, err := ReadWAL(strings.NewReader(log)); err == nil {
-		t.Fatal("mid-file corruption accepted")
+	for _, log := range []string{
+		"A 1 0.2 0 0 1\nnot a record\nD 1\n",
+		"A 1 0.2 0 0 1\n\nD 1\n",               // blank line
+		"A 1 0.2 0 0 1\nA 2 0.20 0 2 3\nD 1\n", // non-canonical load
+		"A 1 0.2 0 0 1\nA 02 0.2 0 2 3\nD 1\n", // leading zero
+		"A 1 0.2 0 0 1\nA 2 0.2 0 2  3\nD 1\n", // double space
+		"A 1 0.2 0 0 1\nA 2 0.2 0\nD 1\n",      // admission without servers
+		"A 1 0.2 0 0 1\nD 1 0.2\nD 2\n",        // trailing field
+		"A 1 0.2 0 0 1\nX 1\nD 2\n",            // unknown operation
+	} {
+		if _, _, _, err := ReadWALOffsets(strings.NewReader(log)); err == nil {
+			t.Errorf("mid-file corruption accepted: %q", log)
+		}
+	}
+}
+
+// TestReadWALRefusesV1: a log in the v1 format (decision events as JSON
+// lines) is refused with ErrWALV1 wherever its lines appear, even as a
+// torn tail, instead of being read as corruption or truncated away.
+func TestReadWALRefusesV1(t *testing.T) {
+	v1 := `{"seq":1,"time":"2026-01-02T03:04:05Z","kind":"attempt","tenant":0,"replica":-1,"server":-1,"slot":-1,"class":-1,"counter":-1,"size":0.3}`
+	for _, log := range []string{v1 + "\n", v1, "A 1 0.2 0 0 1\n" + v1 + "\n"} {
+		_, _, _, err := ReadWALOffsets(strings.NewReader(log))
+		if !errors.Is(err, ErrWALV1) {
+			t.Errorf("v1 log %q: err = %v, want ErrWALV1", log, err)
+		}
+	}
+	if !strings.Contains(ErrWALV1.Error(), "v1") || !strings.Contains(ErrWALV1.Error(), "move it aside") {
+		t.Fatalf("error does not name the format and the remedy: %v", ErrWALV1)
 	}
 }
 
 func TestWALFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.jsonl")
+	path := filepath.Join(t.TempDir(), "wal.log")
 	w, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		w.Record(walEvent(i))
+		recordAdmission(w, i, 0.2, 1, i, i+1)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Close is sticky too: the file must not accept unlogged admissions.
-	w.Record(walEvent(99))
+	w.Record(walDepart(0))
 	if err := w.Sync(); !errors.Is(err, ErrWALClosed) {
 		t.Fatalf("Sync after Close = %v, want ErrWALClosed", err)
 	}
@@ -199,19 +379,19 @@ func TestWALFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	events, torn, err := ReadWAL(f)
+	ops, _, torn, err := ReadWALOffsets(f)
 	if err != nil || torn {
-		t.Fatalf("ReadWAL: torn=%v err=%v", torn, err)
+		t.Fatalf("ReadWALOffsets: torn=%v err=%v", torn, err)
 	}
-	if len(events) != 10 {
-		t.Fatalf("read %d events, want 10", len(events))
+	if len(ops) != 10 {
+		t.Fatalf("read %d ops, want 10", len(ops))
 	}
 	// Reopening appends rather than truncating.
 	w2, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2.Record(walEvent(10))
+	w2.Record(walDepart(3))
 	if err := w2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -220,31 +400,31 @@ func TestWALFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f2.Close()
-	events, _, err = ReadWAL(f2)
-	if err != nil || len(events) != 11 {
-		t.Fatalf("after append: %d events, err=%v", len(events), err)
+	ops, _, _, err = ReadWALOffsets(f2)
+	if err != nil || len(ops) != 11 || !reflect.DeepEqual(ops[10], Op{Kind: OpDepart, Tenant: 3}) {
+		t.Fatalf("after append: %d ops, err=%v", len(ops), err)
 	}
 }
 
 // TestReadWALOffsets: ends[i] is the exact size the file would have if
 // truncated just past record i, so slicing the raw log at any offset
-// yields a clean prefix of exactly i+1 events.
+// yields a clean prefix of exactly i+1 ops.
 func TestReadWALOffsets(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWAL(&buf)
 	for i := 0; i < 3; i++ {
-		w.Record(walEvent(i))
+		recordAdmission(w, i, 0.3, 2, 2*i, 2*i+1)
 	}
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	whole := buf.Bytes()
-	events, ends, torn, err := ReadWALOffsets(bytes.NewReader(whole))
+	ops, ends, torn, err := ReadWALOffsets(bytes.NewReader(whole))
 	if err != nil || torn {
 		t.Fatalf("ReadWALOffsets: torn=%v err=%v", torn, err)
 	}
-	if len(events) != 3 || len(ends) != 3 {
-		t.Fatalf("got %d events, %d offsets, want 3/3", len(events), len(ends))
+	if len(ops) != 3 || len(ends) != 3 {
+		t.Fatalf("got %d ops, %d offsets, want 3/3", len(ops), len(ends))
 	}
 	if ends[2] != int64(len(whole)) {
 		t.Fatalf("final offset %d, file size %d", ends[2], len(whole))
@@ -252,40 +432,40 @@ func TestReadWALOffsets(t *testing.T) {
 	for i, end := range ends {
 		got, _, torn, err := ReadWALOffsets(bytes.NewReader(whole[:end]))
 		if err != nil || torn || len(got) != i+1 {
-			t.Fatalf("prefix to offset %d: %d events, torn=%v, err=%v (want %d)", end, len(got), torn, err, i+1)
+			t.Fatalf("prefix to offset %d: %d ops, torn=%v, err=%v (want %d)", end, len(got), torn, err, i+1)
 		}
 	}
 }
 
 // TestReadWALUnterminatedTail: the newline is part of the record, so a
-// final line lacking one is torn even when the JSON itself is complete —
+// final line lacking one is torn even when the record itself parses —
 // its group commit never finished, so recovery must not trust it.
 func TestReadWALUnterminatedTail(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWAL(&buf)
 	for i := 0; i < 3; i++ {
-		w.Record(walEvent(i))
+		recordAdmission(w, i, 0.3, 2, 2*i, 2*i+1)
 	}
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	data := bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
-	events, torn, err := ReadWAL(bytes.NewReader(data))
+	ops, _, torn, err := ReadWALOffsets(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !torn || len(events) != 2 {
-		t.Fatalf("unterminated tail: %d events, torn=%v, want 2 events torn", len(events), torn)
+	if !torn || len(ops) != 2 {
+		t.Fatalf("unterminated tail: %d ops, torn=%v, want 2 ops torn", len(ops), torn)
 	}
 }
 
-// TestTruncateWAL: the log is cut at the committed record boundary, so
-// complete-but-uncommitted lines are removed along with any torn tail.
+// TestTruncateWAL: the log is cut exactly at the requested record
+// boundary, whole records past it included.
 func TestTruncateWAL(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWAL(&buf)
 	for i := 0; i < 3; i++ {
-		w.Record(walEvent(i))
+		recordAdmission(w, i, 0.3, 2, 2*i, 2*i+1)
 	}
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
@@ -295,7 +475,7 @@ func TestTruncateWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "wal.jsonl")
+	path := filepath.Join(t.TempDir(), "wal.log")
 
 	// Truncating to the full size is a no-op.
 	if err := os.WriteFile(path, whole, 0o644); err != nil {
@@ -314,9 +494,9 @@ func TestTruncateWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, torn, err := ReadWAL(bytes.NewReader(data))
-	if err != nil || torn || len(events) != 2 {
-		t.Fatalf("after truncate: %d events, torn=%v, err=%v", len(events), torn, err)
+	ops, _, torn, err := ReadWALOffsets(bytes.NewReader(data))
+	if err != nil || torn || len(ops) != 2 {
+		t.Fatalf("after truncate: %d ops, torn=%v, err=%v", len(ops), torn, err)
 	}
 
 	// A file shorter than the claimed committed prefix is an error; a
@@ -345,7 +525,7 @@ func (f *failingCloser) Close() error              { f.closes++; return nil }
 func TestWALCloseIdempotentAfterStickyError(t *testing.T) {
 	fc := &failingCloser{}
 	w := NewWAL(fc)
-	w.Record(walEvent(1))
+	w.Record(walDepart(1))
 	if err := w.Sync(); err == nil {
 		t.Fatal("Sync on a failing writer succeeded")
 	}
@@ -366,23 +546,27 @@ func TestWALCloseIdempotentAfterStickyError(t *testing.T) {
 }
 
 // FuzzReadWALOffsets feeds arbitrary bytes to the log reader recovery
-// runs at boot. It must never panic; on success every event has an end
-// offset, the offsets strictly increase within the input, and the prefix
-// cut at the last offset — what TruncateWAL keeps — reads back as the
-// same events with no torn tail.
+// runs at boot. It must never panic. On success every op has an end
+// offset, the offsets strictly increase within the input, and every
+// accepted record re-encodes to exactly its own bytes — the reader takes
+// only the canonical form — so the prefix cut at the last offset, what
+// TruncateWAL keeps, rereads as the same ops with no torn tail.
 func FuzzReadWALOffsets(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		events, ends, _, err := ReadWALOffsets(bytes.NewReader(data))
+		ops, ends, _, err := ReadWALOffsets(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		if len(events) != len(ends) {
-			t.Fatalf("%d events but %d end offsets", len(events), len(ends))
+		if len(ops) != len(ends) {
+			t.Fatalf("%d ops but %d end offsets", len(ops), len(ends))
 		}
 		var prev int64
 		for i, end := range ends {
 			if end <= prev || end > int64(len(data)) {
 				t.Fatalf("end offset %d = %d after %d, input %d bytes", i, end, prev, len(data))
+			}
+			if got := appendOp(nil, ops[i]); !bytes.Equal(got, data[prev:end]) {
+				t.Fatalf("record %d %q re-encodes as %q", i, data[prev:end], got)
 			}
 			prev = end
 		}
@@ -390,8 +574,8 @@ func FuzzReadWALOffsets(f *testing.F) {
 		if err != nil || torn {
 			t.Fatalf("committed prefix rereads with torn=%v err=%v", torn, err)
 		}
-		if !reflect.DeepEqual(again, events) || !reflect.DeepEqual(againEnds, ends) {
-			t.Fatal("committed prefix rereads as different events")
+		if !bytes.Equal(encodeOps(again), data[:prev]) || !reflect.DeepEqual(againEnds, ends) {
+			t.Fatal("committed prefix rereads as different ops")
 		}
 	})
 }

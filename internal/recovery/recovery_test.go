@@ -2,9 +2,12 @@ package recovery
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -70,24 +73,31 @@ func driveEngine(t *testing.T, cfg core.Config, rec obs.Recorder) *core.CubeFit 
 	return cf
 }
 
-func TestRebuildReproducesExactState(t *testing.T) {
-	cfg := core.Config{Gamma: 2, K: 10}
+// logEngine drives the mixed workload with a WAL attached and returns
+// the live engine, the log bytes and the ops they decode to.
+func logEngine(t *testing.T, cfg core.Config) (*core.CubeFit, []byte, []obs.Op) {
+	t.Helper()
 	var buf bytes.Buffer
 	wal := obs.NewWAL(&buf)
 	live := driveEngine(t, cfg, obs.Stamp(clock.NewFake(time.Unix(0, 0)), wal))
 	if err := wal.Sync(); err != nil {
 		t.Fatal(err)
 	}
-
-	events, torn, err := obs.ReadWAL(bytes.NewReader(buf.Bytes()))
+	ops, _, torn, err := obs.ReadWALOffsets(bytes.NewReader(buf.Bytes()))
 	if err != nil || torn {
-		t.Fatalf("ReadWAL: torn=%v err=%v", torn, err)
+		t.Fatalf("ReadWALOffsets: torn=%v err=%v", torn, err)
 	}
-	rebuilt, st, err := Rebuild(events, cfg)
+	return live, buf.Bytes(), ops
+}
+
+func TestRebuildReproducesExactState(t *testing.T) {
+	cfg := core.Config{Gamma: 2, K: 10}
+	live, _, ops := logEngine(t, cfg)
+	rebuilt, st, err := Rebuild(ops, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Admitted != 45 || st.Rejected != 2 || st.Departed != 3 || st.Dropped != 0 {
+	if st.Admitted != 45 || st.Rejected != 2 || st.Departed != 3 || st.Ops != 50 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if got, want := trace.Capture(rebuilt.Placement()), trace.Capture(live.Placement()); !reflect.DeepEqual(got, want) {
@@ -96,7 +106,7 @@ func TestRebuildReproducesExactState(t *testing.T) {
 	if got, want := rebuilt.Stats(), live.Stats(); got != want {
 		t.Fatalf("rebuilt Stats %+v, live %+v", got, want)
 	}
-	if err := Verify(rebuilt, events); err != nil {
+	if err := Verify(rebuilt, ops); err != nil {
 		t.Fatal(err)
 	}
 
@@ -114,20 +124,16 @@ func TestRebuildReproducesExactState(t *testing.T) {
 	}
 }
 
+// TestRebuildDropsUncommittedTail: a crash mid-admission — the attempt and
+// a partial placement reached the log, the closing admit never did — must
+// not bring the tenant back. The log writes nothing until the admission
+// closes, so the open attempt leaves no bytes at all.
 func TestRebuildDropsUncommittedTail(t *testing.T) {
 	cfg := core.Config{Gamma: 2, K: 10}
+	live, committed, _ := logEngine(t, cfg)
 	var buf bytes.Buffer
+	buf.Write(committed)
 	wal := obs.NewWAL(&buf)
-	live := driveEngine(t, cfg, obs.Stamp(clock.NewFake(time.Unix(0, 0)), wal))
-	if err := wal.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	events, _, err := obs.ReadWAL(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A crash mid-admission: the attempt (and a partial placement) hit the
-	// log but the closing admit never did. Recovery must not ack it.
 	open := obs.NewEvent(obs.KindAttempt)
 	open.Tenant = 777
 	open.Size = 0.4
@@ -136,14 +142,21 @@ func TestRebuildDropsUncommittedTail(t *testing.T) {
 	place.Replica = 0
 	place.Server = 0
 	place.Size = 0.2
-	tail := append(append([]obs.Event{}, events...), open, place)
-
-	rebuilt, st, err := Rebuild(tail, cfg)
+	wal.Record(open)
+	wal.Record(place)
+	if err := wal.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), committed) {
+		t.Fatalf("an unclosed admission wrote %q", buf.Bytes()[len(committed):])
+	}
+	ops, _, _, err := obs.ReadWALOffsets(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Dropped != 2 {
-		t.Fatalf("Dropped = %d, want 2", st.Dropped)
+	rebuilt, _, err := Rebuild(ops, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if _, exists := rebuilt.Placement().Tenant(777); exists {
 		t.Fatal("uncommitted admission resurrected by recovery")
@@ -151,23 +164,60 @@ func TestRebuildDropsUncommittedTail(t *testing.T) {
 	if got, want := trace.Capture(rebuilt.Placement()), trace.Capture(live.Placement()); !reflect.DeepEqual(got, want) {
 		t.Fatal("rebuilt snapshot differs after dropping uncommitted tail")
 	}
-	if err := Verify(rebuilt, tail); err != nil {
+	if err := Verify(rebuilt, ops); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRebuildChecksEveryOp: a log whose recorded hosts disagree with what
+// the engine re-derives is refused at that operation, as is a log whose
+// recorded outcome does not replay.
+func TestRebuildChecksEveryOp(t *testing.T) {
+	cfg := core.Config{Gamma: 2, K: 10}
+	_, _, ops := logEngine(t, cfg)
+	admit := slices.IndexFunc(ops[10:], func(o obs.Op) bool { return o.Kind == obs.OpAdmit }) + 10
+	reject := slices.IndexFunc(ops, func(o obs.Op) bool { return o.Kind == obs.OpReject })
+
+	doctored := slices.Clone(ops)
+	doctored[admit].Servers = []int{ops[admit].Servers[1], ops[admit].Servers[0]}
+	_, _, err := Rebuild(doctored, cfg)
+	if want := fmt.Sprintf("op %d: tenant %d replays onto servers", admit+1, ops[admit].Tenant); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("swapped hosts: err = %v, want it to contain %q", err, want)
+	}
+
+	doctored = slices.Clone(ops)
+	doctored[reject].Kind = obs.OpAdmit
+	doctored[reject].Servers = []int{0, 1}
+	if _, _, err := Rebuild(doctored, cfg); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("op %d:", reject+1)) {
+		t.Fatalf("rejection logged as admission: err = %v", err)
+	}
+
+	// Verify holds an engine to the log's end state on its own.
+	rebuilt, _, err := Rebuild(ops, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := slices.Clone(ops)
+	for i := len(last) - 1; i >= 0; i-- {
+		if last[i].Kind == obs.OpAdmit {
+			last[i].Servers = []int{last[i].Servers[1], last[i].Servers[0]}
+			break
+		}
+	}
+	if err := Verify(rebuilt, last); err == nil {
+		t.Fatal("Verify accepted an engine hosting a tenant off its logged servers")
+	}
+	if err := Verify(rebuilt, ops[:len(ops)-1]); err == nil {
+		t.Fatal("Verify accepted an engine holding a tenant the log never admitted")
 	}
 }
 
 func TestFromFileTornTail(t *testing.T) {
 	cfg := core.Config{Gamma: 2, K: 10}
-	var buf bytes.Buffer
-	wal := obs.NewWAL(&buf)
-	driveEngine(t, cfg, obs.Stamp(clock.NewFake(time.Unix(0, 0)), wal))
-	if err := wal.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	path := filepath.Join(t.TempDir(), "wal.jsonl")
+	_, data, _ := logEngine(t, cfg)
+	path := filepath.Join(t.TempDir(), "wal.log")
 	// Tear the final record in half, as an interrupted write would.
-	if err := os.WriteFile(path, data[:len(data)-7], 0o644); err != nil {
+	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cf, st, err := FromFile(path, cfg)
@@ -182,56 +232,31 @@ func TestFromFileTornTail(t *testing.T) {
 	}
 }
 
-// TestFromFileCommittedBytes: recovery reports the byte offset of the
-// committed prefix, and truncating the file there removes an uncommitted
-// suffix of complete event lines (a bufio auto-flush that outran its
-// group commit) so the log replays cleanly on the following boot.
+// TestFromFileCommittedBytes: recovery reports the byte offset of the last
+// complete record, and truncating the file there removes a torn tail —
+// here a complete record missing its newline — so records appended after
+// it replay cleanly on the following boot.
 func TestFromFileCommittedBytes(t *testing.T) {
 	cfg := core.Config{Gamma: 2, K: 10}
-	var buf bytes.Buffer
-	wal := obs.NewWAL(&buf)
-	driveEngine(t, cfg, obs.Stamp(clock.NewFake(time.Unix(0, 0)), wal))
-	if err := wal.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	committedSize := int64(buf.Len())
-	// Crash mid-admission after an auto-flush: the attempt and a partial
-	// placement are complete lines in the file, the closing admit is not.
-	open := obs.NewEvent(obs.KindAttempt)
-	open.Tenant = 777
-	open.Size = 0.4
-	place := obs.NewEvent(obs.KindStage1Place)
-	place.Tenant = 777
-	place.Replica = 0
-	place.Server = 0
-	place.Size = 0.4
-	suffixed := obs.NewWAL(&buf)
-	suffixed.Record(open)
-	suffixed.Record(place)
-	if err := suffixed.Sync(); err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "wal.jsonl")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	_, committed, _ := logEngine(t, cfg)
+	committedSize := int64(len(committed))
+	path := filepath.Join(t.TempDir(), "wal.log")
+	if err := os.WriteFile(path, append(slices.Clone(committed), "A 777 0.4 0 0 1"...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cf, st, err := FromFile(path, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Dropped != 2 {
-		t.Fatalf("Dropped = %d, want 2", st.Dropped)
-	}
-	if st.CommittedBytes != committedSize {
-		t.Fatalf("CommittedBytes = %d, want %d", st.CommittedBytes, committedSize)
+	if !st.Torn || st.CommittedBytes != committedSize {
+		t.Fatalf("Torn = %v, CommittedBytes = %d, want true, %d", st.Torn, st.CommittedBytes, committedSize)
 	}
 	if _, exists := cf.Placement().Tenant(777); exists {
-		t.Fatal("uncommitted admission resurrected by recovery")
+		t.Fatal("unterminated admission resurrected by recovery")
 	}
 
 	// The boot sequence truncates there; the trimmed log then recovers to
-	// the same state with nothing dropped — the next boot is clean.
+	// the same state with nothing torn — the next boot is clean.
 	if trimmed, err := obs.TruncateWAL(path, st.CommittedBytes); err != nil || trimmed == 0 {
 		t.Fatalf("TruncateWAL: trimmed %d, err %v", trimmed, err)
 	}
@@ -239,7 +264,7 @@ func TestFromFileCommittedBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Dropped != 0 || st2.CommittedBytes != committedSize {
+	if st2.Torn || st2.CommittedBytes != committedSize {
 		t.Fatalf("after truncation: %+v", st2)
 	}
 	if got, want := trace.Capture(cf2.Placement()), trace.Capture(cf.Placement()); !reflect.DeepEqual(got, want) {
@@ -249,7 +274,7 @@ func TestFromFileCommittedBytes(t *testing.T) {
 
 func TestFromFileMissingLogIsFresh(t *testing.T) {
 	cfg := core.Config{Gamma: 3, K: 10}
-	cf, st, err := FromFile(filepath.Join(t.TempDir(), "absent.jsonl"), cfg)
+	cf, st, err := FromFile(filepath.Join(t.TempDir(), "absent.log"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,34 +286,24 @@ func TestFromFileMissingLogIsFresh(t *testing.T) {
 	}
 }
 
-func TestRebuildRejectsGammaMismatch(t *testing.T) {
-	cfg := core.Config{Gamma: 2, K: 10}
-	var buf bytes.Buffer
-	wal := obs.NewWAL(&buf)
-	driveEngine(t, cfg, wal)
-	if err := wal.Sync(); err != nil {
+// TestFromFileRefusesV1Log: a log in the retired event-JSON format is
+// refused with the error that names the format and the remedy.
+func TestFromFileRefusesV1Log(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	v1 := `{"seq":1,"time":"2026-01-02T03:04:05Z","kind":"attempt","tenant":0,"replica":-1,"server":-1,"slot":-1,"class":-1,"counter":-1,"size":0.3}` + "\n"
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	events, _, err := obs.ReadWAL(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Rebuild(events, core.Config{Gamma: 3, K: 10}); err == nil ||
-		!strings.Contains(err.Error(), "γ=2") {
-		t.Fatalf("gamma mismatch not detected: %v", err)
+	if _, _, err := FromFile(path, core.Config{Gamma: 2, K: 10}); !errors.Is(err, obs.ErrWALV1) {
+		t.Fatalf("v1 log: err = %v, want ErrWALV1", err)
 	}
 }
 
-func TestExtractOpsRejectsInterleavedLog(t *testing.T) {
-	a1 := obs.NewEvent(obs.KindAttempt)
-	a1.Tenant = 1
-	a1.Size = 0.2
-	a2 := obs.NewEvent(obs.KindAttempt)
-	a2.Tenant = 2
-	a2.Size = 0.2
-	closeBoth := obs.NewEvent(obs.KindAdmit)
-	closeBoth.Tenant = 1
-	if _, err := extractOps([]obs.Event{a1, a2, closeBoth}); err == nil {
-		t.Fatal("interleaved attempts accepted")
+func TestRebuildRejectsGammaMismatch(t *testing.T) {
+	cfg := core.Config{Gamma: 2, K: 10}
+	_, _, ops := logEngine(t, cfg)
+	if _, _, err := Rebuild(ops, core.Config{Gamma: 3, K: 10}); err == nil ||
+		!strings.Contains(err.Error(), "γ=2") {
+		t.Fatalf("gamma mismatch not detected: %v", err)
 	}
 }

@@ -80,21 +80,33 @@ func Read(r io.Reader) (Snapshot, error) {
 	return snap, nil
 }
 
+// MaxGamma bounds the replication factor Restore accepts. Every tenant
+// reserves γ host slots, so an unbounded γ from an untrusted snapshot
+// would exhaust memory; the engines replicate far less (core caps γ at 9).
+const MaxGamma = 64
+
 // Restore rebuilds a Placement from a snapshot. The result carries the
-// same servers, tenants and replica assignments (server IDs are preserved
-// by opening servers in ID order).
+// same servers, tenants and replica assignments. The snapshot must list
+// servers 0..n-1, each once and in any order, as Capture does: server IDs
+// are preserved by opening n servers, so an ID outside [0, n) or a
+// repeated one is refused rather than trusted to size the placement.
 func Restore(snap Snapshot) (*packing.Placement, error) {
+	if snap.Gamma > MaxGamma {
+		return nil, fmt.Errorf("trace: replication factor %d exceeds %d", snap.Gamma, MaxGamma)
+	}
 	p, err := packing.NewPlacement(snap.Gamma)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	maxID := -1
+	listed := make([]bool, len(snap.Servers))
 	for _, s := range snap.Servers {
-		if s.ID > maxID {
-			maxID = s.ID
+		if s.ID < 0 || s.ID >= len(snap.Servers) {
+			return nil, fmt.Errorf("trace: server id %d outside [0, %d)", s.ID, len(snap.Servers))
 		}
-	}
-	for i := 0; i <= maxID; i++ {
+		if listed[s.ID] {
+			return nil, fmt.Errorf("trace: server id %d listed twice", s.ID)
+		}
+		listed[s.ID] = true
 		p.OpenServer()
 	}
 	for _, t := range snap.Tenants {

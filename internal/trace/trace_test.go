@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -115,6 +116,53 @@ func TestRestoreErrors(t *testing.T) {
 	if _, err := trace.Restore(snap); err == nil {
 		t.Fatal("unknown tenant accepted")
 	}
+}
+
+// TestRestoreRejectsUntrustedSizes: the server count and γ size the
+// placement Restore allocates, so ids outside the listed servers, repeated
+// ids and an oversized γ are refused before anything is allocated.
+func TestRestoreRejectsUntrustedSizes(t *testing.T) {
+	for name, snap := range map[string]trace.Snapshot{
+		"huge server id":   {Gamma: 2, Servers: []trace.ServerSnapshot{{ID: 2000000000}}},
+		"negative id":      {Gamma: 2, Servers: []trace.ServerSnapshot{{ID: -1}}},
+		"id past the list": {Gamma: 2, Servers: []trace.ServerSnapshot{{ID: 0}, {ID: 2}}},
+		"duplicate id":     {Gamma: 2, Servers: []trace.ServerSnapshot{{ID: 0}, {ID: 0}}},
+		"huge gamma":       {Gamma: 1 << 40, Tenants: []trace.TenantSnapshot{{ID: 1, Load: 0.5}}},
+	} {
+		if _, err := trace.Restore(snap); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	// Servers out of order are fine as long as they cover 0..n-1.
+	p, err := trace.Restore(trace.Snapshot{Gamma: trace.MaxGamma, Servers: []trace.ServerSnapshot{{ID: 1}, {ID: 0}}})
+	if err != nil || p.NumServers() != 2 {
+		t.Fatalf("permuted server list: %v", err)
+	}
+}
+
+// FuzzTraceRestore drives untrusted bytes through the snapshot decoder
+// and Restore, as cubefit-inspect does with a placement read from disk or
+// a pipe. Nothing may panic, and a placement Restore accepts must round
+// trip: its Capture restores again to the same snapshot.
+func FuzzTraceRestore(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := trace.Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		p, err := trace.Restore(snap)
+		if err != nil {
+			return
+		}
+		first := trace.Capture(p)
+		again, err := trace.Restore(first)
+		if err != nil {
+			t.Fatalf("captured snapshot does not restore: %v", err)
+		}
+		if second := trace.Capture(again); !reflect.DeepEqual(first, second) {
+			t.Fatalf("round trip changed the snapshot:\n%+v\n%+v", first, second)
+		}
+	})
 }
 
 func TestEmptyPlacementRoundTrip(t *testing.T) {
